@@ -149,6 +149,7 @@ class Output {
       w.kv("wpq", r.totals.clwbs);
       w.kv("psan", r.psan.events);
       w.kv("fault", r.persistence_events);
+      w.kv("scheduler", r.fiber_switches);
       w.end_object();
       w.end_object();
     }

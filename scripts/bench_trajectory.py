@@ -8,8 +8,8 @@ Each input is the JSON a bench binary writes when REPRO_BENCH=<file> is set
 (tool "optane-ptm-bench-profile"): per benchmark point, the simulated
 throughput plus the wall-clock self-profile — host nanoseconds spent, the
 simulation-event count, and event counts per simulator subsystem (cache,
-channel, wpq, psan, fault). This script rolls those up per bench binary and
-overall, producing the per-PR snapshot that compare_results.py --trajectory
+channel, wpq, psan, fault, scheduler). This script rolls those up per bench
+binary and overall, producing the per-PR snapshot that compare_results.py --trajectory
 diffs across the BENCH_*.json sequence to catch simulator slowdowns.
 
 Wall-clock numbers are machine-dependent; a trajectory is only comparable
@@ -25,7 +25,7 @@ import os
 import platform
 import sys
 
-SUBSYSTEMS = ("cache", "channel", "wpq", "psan", "fault")
+SUBSYSTEMS = ("cache", "channel", "wpq", "psan", "fault", "scheduler")
 
 
 def rate(events, wall_ns):

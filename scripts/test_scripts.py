@@ -38,7 +38,7 @@ def profile_point(bench="b", label="l", wall_ns=1000, sim_events=100):
         "wall_ns": wall_ns, "sim_events": sim_events,
         "sim_events_per_sec": 0.0,
         "subsystems": {"cache": 1, "channel": 1, "wpq": 1, "psan": 0,
-                       "fault": 0},
+                       "fault": 0, "scheduler": 0},
     }
 
 

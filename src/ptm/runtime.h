@@ -71,13 +71,6 @@ class Runtime {
     for (;;) {
       const uint64_t t0 = tracing ? ctx.now_ns() : 0;
       tx.begin();
-      // The catch handlers below must not yield to the DES scheduler: the
-      // Itanium EH caught-exception stack is per-OS-thread and the engine's
-      // fibers share it, so a fiber that yields mid-handler (handle_abort's
-      // backoff does) can interleave another fiber's begin/end_catch and a
-      // later bare `throw;` rethrows *that fiber's* exception. Handlers
-      // therefore only record the outcome; rollback, backoff and rethrow
-      // all run after the handler has closed.
       std::exception_ptr app_err;
       bool killed = false;
       try {

@@ -13,11 +13,18 @@
 // they would from the relative timing of operations on the paper's
 // machine.
 //
-// Implementation: ucontext fibers on one OS thread (a worker switch is a
-// ~100ns swapcontext, which is what makes 32-worker benchmark sweeps
-// tractable on this host). A running fiber is handed a `run_until` budget
-// equal to the next-smallest worker clock, so consecutive events of the
-// same worker stay on the fast path with no scheduler round-trip.
+// Implementation: fibers on one OS thread. A running fiber is handed a
+// `run_until` budget equal to the next-smallest worker clock, so
+// consecutive events of the same worker stay on the fast path with no
+// scheduling work at all. When its clock passes the budget, the fiber
+// itself picks its successor from a binary heap of suspended workers
+// ordered by (clock, id) and switches straight to it; no scheduler
+// context sits between two workers. The switch saves and restores only
+// the callee-saved registers and the stack pointer (x86-64 SysV) and makes
+// no system call; swapcontext would save the signal mask with one, which
+// cost more than the rest of a handoff. Each worker's C++ exception-handling state (caught-
+// exception stack, uncaught count) travels with its fiber, so a fiber may
+// yield inside a catch handler without disturbing another fiber's `throw;`.
 //
 // Rules for code running under the engine:
 //  * never block on OS primitives (mutexes/condvars) waiting for another
@@ -29,9 +36,7 @@
 // The PTM is written to these rules (atomics + abort/backoff, no blocking).
 #pragma once
 
-#include <ucontext.h>
-
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -51,7 +56,7 @@ class SimContext final : public ExecContext {
 
   void advance(uint64_t ns) override {
     time_ns_ += ns;
-    if (time_ns_ > run_until_) yield_to_scheduler();
+    if (time_ns_ > run_until_) hand_off();
   }
 
   int worker_id() const override { return id_; }
@@ -61,13 +66,14 @@ class SimContext final : public ExecContext {
  private:
   friend class Engine;
 
-  void yield_to_scheduler();
+  // The slow path, out of line: pass control to the next worker.
+  void hand_off();
 
   Engine* engine_ = nullptr;
   int id_ = 0;
   uint64_t time_ns_ = 0;
-  // The worker may keep running (no scheduler round-trip) while its clock
-  // does not exceed this bound — the next-smallest worker clock.
+  // The worker may keep running (no handoff) while its clock does not
+  // exceed this bound — the smallest clock among the suspended workers.
   uint64_t run_until_ = 0;
 };
 
@@ -91,33 +97,56 @@ class Engine {
   /// Simulated duration of the last run() — the max worker finish time.
   uint64_t elapsed_ns() const { return elapsed_ns_; }
 
+  /// Fiber switches in the last run(): each time control passed from one
+  /// worker to another (entering the first worker from run() is not one).
+  uint64_t switches() const { return switches_; }
+
   int num_workers() const { return n_; }
+
+  /// Usable stack per worker fiber. An overflow hits a guard page and
+  /// faults instead of overwriting another fiber's stack.
+  static constexpr size_t kStackBytes = 512 * 1024;
 
  private:
   friend class SimContext;
 
-  static constexpr size_t kStackBytes = 512 * 1024;
+  struct Fiber;  // engine.cpp: stack, saved stack pointer, EH state
 
-  static void trampoline(unsigned hi, unsigned lo);
+  // Index in fibers_ of the context that called run(); workers use their ids.
+  size_t caller() const { return static_cast<size_t>(n_); }
 
-  // Worker side: suspend this fiber and resume the scheduler.
-  void yield_from(int id) {
-    swapcontext(&fibers_[static_cast<size_t>(id)], &sched_ctx_);
-  }
+  [[noreturn]] static void fiber_main(Engine* engine, uint64_t id);
 
-  // Scheduler side: pick the non-done worker with minimum time (lowest id
-  // breaks ties) and the second-smallest time as its run budget.
-  int pick_next(uint64_t* run_until) const;
+  // Worker `id` has run past its budget: suspend it and run the earliest
+  // suspended worker.
+  void yield(int id);
+  // Worker `id` has returned from the body: run the next worker, or go
+  // back to run()'s caller when none is left.
+  [[noreturn]] void finish(int id);
+  // Give worker `to` its budget and switch to it from `from`.
+  void resume(size_t from, int to, bool from_finished);
+  // Save the running context as `from` and continue `to`. Returns when
+  // something switches back to `from`, which never happens once
+  // `from_finished`.
+  void transfer(size_t from, size_t to, bool from_finished);
+
+  // ready_ is a binary min-heap of the suspended workers by (clock, id).
+  bool earlier(int a, int b) const;
+  void sift_down(size_t i);
+  int pop_ready();
+  int replace_top(int id);
+  // run_until for the worker about to run: the heap top's clock.
+  uint64_t budget() const;
 
   const int n_;
   uint64_t elapsed_ns_ = 0;
+  uint64_t switches_ = 0;
 
   const std::function<void(ExecContext&)>* body_ = nullptr;
   std::vector<SimContext> ctx_;
-  std::vector<bool> done_;
-  std::vector<std::unique_ptr<char[]>> stacks_;
-  std::vector<ucontext_t> fibers_;
-  ucontext_t sched_ctx_;
+  std::unique_ptr<Fiber[]> fibers_;  // n_ workers, then run()'s caller
+  std::vector<int> ready_;
+  size_t switched_from_ = 0;  // the context the running one was entered from
   std::exception_ptr first_error_;
 };
 

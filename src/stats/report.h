@@ -30,6 +30,7 @@ struct RunResult {
   uint64_t wall_ns = 0;            // host time spent inside the run
   uint64_t channel_requests = 0;   // bandwidth-channel grants (subsystem "channel")
   uint64_t persistence_events = 0; // crash-sim persistence hooks (subsystem "fault")
+  uint64_t fiber_switches = 0;     // DES worker handoffs (subsystem "scheduler")
 
   /// Simulation events processed: the instrumented-access count that
   /// dominates DES work. wall_ns / sim_events() is the self-profiler's

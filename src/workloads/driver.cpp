@@ -127,6 +127,7 @@ stats::RunResult run_point(const WorkloadFactory& factory, const RunPoint& p) {
           .count());
   r.channel_requests = pool.mem().channel_requests();
   r.persistence_events = pool.mem().persistence_events();
+  r.fiber_switches = engine.switches();
   return r;
 }
 

@@ -249,6 +249,7 @@ TEST(DevStatsRun, SelfProfileFieldsPopulated) {
   EXPECT_GT(r.sim_events(), 0u);
   EXPECT_GT(r.sim_events_per_sec(), 0.0);
   EXPECT_GT(r.channel_requests, 0u);
+  EXPECT_EQ(r.fiber_switches, 0u);  // a lone worker never hands off
 }
 
 }  // namespace

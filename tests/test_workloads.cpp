@@ -181,6 +181,8 @@ TEST(DriverTest, DeterministicAcrossCalls) {
   const auto b = workloads::run_point(factory, p);
   EXPECT_EQ(a.sim_ns, b.sim_ns);
   EXPECT_EQ(a.totals.aborts, b.totals.aborts);
+  EXPECT_GT(a.fiber_switches, 0u);
+  EXPECT_EQ(a.fiber_switches, b.fiber_switches);
 }
 
 // The paper's headline orderings, reproduced at miniature scale: these are
