@@ -1,7 +1,10 @@
 #include "analysis/psan.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+
+#include "stats/report.h"
 
 namespace analysis {
 
@@ -16,21 +19,42 @@ const char* diag_kind_name(DiagKind k) {
   return "?";
 }
 
-bool Psan::env_enabled() {
-  static const bool on = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    const char* s = std::getenv("REPRO_PSAN");
-    return s != nullptr && s[0] != '\0' && s[0] != '0';
-  }();
-  return on;
-}
-
 Psan::Psan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers)
     : tracks_(cfg.needs_flushes()), num_lines_(num_lines) {
   // +1: Memory passes worker -1 (setup / recovery outside an ExecContext)
   // which maps onto the last state slot.
   w_.resize(static_cast<size_t>(max_workers) + 1);
   sum_.enabled = true;
+}
+
+Psan::~Psan() {
+  const stats::PsanSummary s = summary();
+  // Undrained correctness findings are loud even without the JSONL sink:
+  // a unit test that trips an ordering bug fails the psan gate's run even
+  // if its own assertions never look at psan.
+  if (s.correctness() > 0) {
+    std::fprintf(stderr,
+                 "psan: %llu ordering violation(s) at pool teardown "
+                 "(missing_flush=%llu misordered_persist=%llu)\n",
+                 static_cast<unsigned long long>(s.correctness()),
+                 static_cast<unsigned long long>(s.missing_flush),
+                 static_cast<unsigned long long>(s.misordered_persist));
+    for (const Diag& d : drain()) {
+      if (d.kind != DiagKind::kMissingFlush && d.kind != DiagKind::kMisorderedPersist) {
+        continue;
+      }
+      std::fprintf(stderr,
+                   "psan:   %s worker=%d tx=%llu line=%llu store_event=%llu "
+                   "at_event=%llu: %s [%s]\n",
+                   diag_kind_name(d.kind), d.worker,
+                   static_cast<unsigned long long>(d.tx_id),
+                   static_cast<unsigned long long>(d.line),
+                   static_cast<unsigned long long>(d.store_event),
+                   static_cast<unsigned long long>(d.at_event), d.what, d.state);
+    }
+  }
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
+  stats::append_jsonl(std::getenv("REPRO_PSAN_OUT"), s);
 }
 
 void Psan::emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,

@@ -30,11 +30,11 @@
 // diagnostic per offending line. Everything is attributed to the owning
 // worker/transaction and the PR 1 phase taxonomy, carries the store/flush
 // event indices for replay, and aggregates into stats::PsanSummary for
-// REPRO_JSON ("psan" key) and the scripts/check_psan.py CI gate.
+// REPRO_JSON ("psan" key) and the scripts/check_gates.py CI gate.
 //
-// Enabled by nvm::SystemConfig::psan or the REPRO_PSAN=1 environment
-// variable; when off, nvm::Memory carries only a null-pointer test per
-// access and output stays bit-identical. See docs/ANALYSIS.md.
+// Enabled by nvm::SystemConfig::psan (nvm::Pool sets it from REPRO_PSAN);
+// when off, nvm::Memory carries only a null-pointer test per access and
+// output stays bit-identical. See docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +99,9 @@ class Psan {
   static constexpr size_t kMaxStoredDiags = 1024;
 
   Psan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers);
-
-  /// True when REPRO_PSAN=1 forces the sanitizer on for every pool
-  /// (read once; lets CI run the whole unit-test matrix under psan
-  /// without touching each test's SystemConfig).
-  static bool env_enabled();
+  /// Pool teardown: prints undrained correctness diagnostics to stderr and
+  /// appends the summary to the REPRO_PSAN_OUT JSONL stream, if set.
+  ~Psan();
 
   // ----- event hooks (driven by nvm::Memory) ---------------------------
 

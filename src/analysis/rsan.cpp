@@ -7,6 +7,8 @@
 #include <execinfo.h>
 #endif
 
+#include "stats/report.h"
+
 namespace analysis {
 
 const char* rsan_kind_name(RsanKind k) {
@@ -17,15 +19,6 @@ const char* rsan_kind_name(RsanKind k) {
     case RsanKind::kEarlyRelease: return "early_release";
   }
   return "?";
-}
-
-bool Rsan::env_enabled() {
-  static const bool on = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    const char* s = std::getenv("REPRO_RSAN");
-    return s != nullptr && s[0] != '\0' && s[0] != '0';
-  }();
-  return on;
 }
 
 namespace {
@@ -62,6 +55,34 @@ Rsan::Rsan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers)
     w_[s].vc[s] = 1;
   }
   sum_.enabled = true;
+}
+
+Rsan::~Rsan() {
+  const stats::RsanSummary s = summary();
+  // Same discipline as psan: undrained correctness findings are loud so
+  // a race surfaces even when the tripping test never looks at rsan.
+  if (s.correctness() > 0) {
+    std::fprintf(stderr,
+                 "rsan: %llu race/isolation violation(s) at pool teardown "
+                 "(write_write_race=%llu read_write_race=%llu "
+                 "orec_coverage=%llu early_release=%llu)\n",
+                 static_cast<unsigned long long>(s.correctness()),
+                 static_cast<unsigned long long>(s.write_write_race),
+                 static_cast<unsigned long long>(s.read_write_race),
+                 static_cast<unsigned long long>(s.orec_coverage),
+                 static_cast<unsigned long long>(s.early_release));
+    for (const RsanDiag& d : drain()) {
+      std::fprintf(stderr,
+                   "rsan:   %s worker=%d other=%d addr=0x%llx line=%llu "
+                   "event=%llu: %s\n",
+                   rsan_kind_name(d.kind), d.worker, d.other,
+                   static_cast<unsigned long long>(d.addr),
+                   static_cast<unsigned long long>(d.line),
+                   static_cast<unsigned long long>(d.event), d.what);
+    }
+  }
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
+  stats::append_jsonl(std::getenv("REPRO_RSAN_OUT"), s);
 }
 
 void Rsan::emit(RsanKind kind, int worker, int other, uint64_t addr,

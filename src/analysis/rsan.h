@@ -47,8 +47,9 @@
 // Pure observation: hooks never advance simulated time, and when off
 // (default) nvm::Memory carries one null-pointer test per hooked access —
 // default bench output stays byte-identical. Enabled by
-// nvm::SystemConfig::rsan or REPRO_RSAN=1; REPRO_RSAN_OUT appends one
-// JSONL summary per pool teardown. See docs/ANALYSIS.md.
+// nvm::SystemConfig::rsan (nvm::Pool sets it from REPRO_RSAN);
+// REPRO_RSAN_OUT appends one JSONL summary per pool teardown. See
+// docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +65,7 @@
 namespace analysis {
 
 /// Diagnostic catalog (docs/ANALYSIS.md has the full semantics). All four
-/// kinds are correctness-gated: any nonzero count fails check_rsan.py.
+/// kinds are correctness-gated: any nonzero count fails check_gates.py.
 enum class RsanKind : uint8_t {
   /// Two transactional stores to the same word with no happens-before
   /// path between them (e.g. an epoch leader writing a member's line
@@ -104,11 +105,9 @@ class Rsan {
   static constexpr size_t kMaxStoredDiags = 1024;
 
   Rsan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers);
-
-  /// True when REPRO_RSAN=1 forces the sanitizer on for every pool (CI
-  /// runs the whole unit-test matrix under rsan without touching each
-  /// test's SystemConfig).
-  static bool env_enabled();
+  /// Pool teardown: prints undrained diagnostics to stderr and appends the
+  /// summary to the REPRO_RSAN_OUT JSONL stream, if set.
+  ~Rsan();
 
   // ----- memory hooks (driven by nvm::Memory) --------------------------
 

@@ -44,6 +44,10 @@ enum class RecoveryPolicy : uint8_t {
   kFailStop = 1,
 };
 
+/// psan, devstats, rsan and epoch_commit can also be forced on for every
+/// pool in the process through REPRO_PSAN, REPRO_DEVSTATS, REPRO_RSAN and
+/// REPRO_EPOCH: nvm::Pool resolves them into its own copy of the config
+/// (Pool::config()) before building the memory model.
 struct SystemConfig {
   Media media = Media::kOptane;   // backing media of the persistent heap
   Domain domain = Domain::kAdr;
@@ -63,8 +67,7 @@ struct SystemConfig {
   /// Run the persistency sanitizer (analysis::Psan): a per-cache-line
   /// flush/fence ordering checker over every instrumented access. Like
   /// telemetry/checksums it is zero-cost when off (one null-pointer test
-  /// per hooked access) and changes no observable output. REPRO_PSAN=1
-  /// forces it on regardless of this flag.
+  /// per hooked access) and changes no observable output.
   bool psan = false;
 
   /// Collect emulated-DIMM performance counters (stats::DevStats): media
@@ -72,7 +75,6 @@ struct SystemConfig {
   /// XPBuffer hit/miss, WPQ occupancy/drain histograms, channel
   /// utilization. Pure observation — never charges simulated time — and
   /// zero-cost when off (one null-pointer test per hook, like psan).
-  /// REPRO_DEVSTATS=1 forces it on regardless of this flag.
   bool devstats = false;
 
   /// Run the happens-before race & isolation sanitizer (analysis::Rsan):
@@ -81,7 +83,7 @@ struct SystemConfig {
   /// DES runs cooperative fibers, so host TSan cannot see logical races
   /// between simulated workers — this can. Pure observation (charges zero
   /// simulated time) and zero-cost when off (one null-pointer test per
-  /// hook, like psan/devstats). REPRO_RSAN=1 forces it on.
+  /// hook, like psan/devstats).
   bool rsan = false;
 
   // Crash-simulation adversary: probability that a dirty-but-unflushed
@@ -125,9 +127,8 @@ struct SystemConfig {
   /// elected committer persists every member's log under one flush window,
   /// issues a single fence, and flips all COMMITTED statuses together —
   /// the per-transaction ordering points become per-epoch ones. Opt-in
-  /// like psan/devstats/mirror; REPRO_EPOCH=1 forces it on regardless of
-  /// this flag. Durability semantics are unchanged: commit() only returns
-  /// once the caller's transaction is durably marked.
+  /// like psan/devstats/mirror. Durability semantics are unchanged:
+  /// commit() only returns once the caller's transaction is durably marked.
   bool epoch_commit = false;
 
   /// Epoch close triggers: an epoch is drained as soon as `epoch_max_txs`

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "analysis/psan.h"
@@ -29,118 +28,20 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
     dirty_bitmap_.assign((num_lines_ + 63) / 64, 0);
     pending_.assign(static_cast<size_t>(cfg_.max_workers), {});
   }
-  if (cfg_.psan || analysis::Psan::env_enabled()) {
+  if (cfg_.psan) {
     psan_ = std::make_unique<analysis::Psan>(cfg_, num_lines_, cfg_.max_workers);
   }
-  if (cfg_.rsan || analysis::Rsan::env_enabled()) {
+  if (cfg_.rsan) {
     rsan_ = std::make_unique<analysis::Rsan>(cfg_, num_lines_, cfg_.max_workers);
   }
-  if (cfg_.devstats || stats::DevStats::env_enabled()) {
+  if (cfg_.devstats) {
     devstats_ = std::make_unique<stats::DevStats>(cfg_.max_workers);
   }
 }
 
-Memory::~Memory() {
-  if (psan_) {
-    const stats::PsanSummary s = psan_->summary();
-    // Undrained correctness findings are loud even without the JSONL sink:
-    // a unit test that trips an ordering bug fails check_psan.py's run even
-    // if its own assertions never look at psan.
-    if (s.correctness() > 0) {
-      std::fprintf(stderr,
-                   "psan: %llu ordering violation(s) at pool teardown "
-                   "(missing_flush=%llu misordered_persist=%llu)\n",
-                   static_cast<unsigned long long>(s.correctness()),
-                   static_cast<unsigned long long>(s.missing_flush),
-                   static_cast<unsigned long long>(s.misordered_persist));
-      for (const analysis::Diag& d : psan_->drain()) {
-        if (d.kind != analysis::DiagKind::kMissingFlush &&
-            d.kind != analysis::DiagKind::kMisorderedPersist) {
-          continue;
-        }
-        std::fprintf(stderr,
-                     "psan:   %s worker=%d tx=%llu line=%llu store_event=%llu "
-                     "at_event=%llu: %s [%s]\n",
-                     analysis::diag_kind_name(d.kind), d.worker,
-                     static_cast<unsigned long long>(d.tx_id),
-                     static_cast<unsigned long long>(d.line),
-                     static_cast<unsigned long long>(d.store_event),
-                     static_cast<unsigned long long>(d.at_event), d.what, d.state);
-      }
-    }
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    if (const char* path = std::getenv("REPRO_PSAN_OUT")) {
-      if (std::FILE* f = std::fopen(path, "a")) {
-        std::fprintf(f,
-                     "{\"enabled\":true,\"events\":%llu,\"checks\":%llu,"
-                     "\"missing_flush\":%llu,\"misordered_persist\":%llu,"
-                     "\"redundant_flush\":%llu,\"redundant_fence\":%llu,"
-                     "\"unflushed_at_crash\":%llu,\"torn_at_crash\":%llu,"
-                     "\"diags_dropped\":%llu}\n",
-                     static_cast<unsigned long long>(s.events),
-                     static_cast<unsigned long long>(s.checks),
-                     static_cast<unsigned long long>(s.missing_flush),
-                     static_cast<unsigned long long>(s.misordered_persist),
-                     static_cast<unsigned long long>(s.redundant_flush),
-                     static_cast<unsigned long long>(s.redundant_fence),
-                     static_cast<unsigned long long>(s.unflushed_at_crash),
-                     static_cast<unsigned long long>(s.torn_at_crash),
-                     static_cast<unsigned long long>(s.diags_dropped));
-        std::fclose(f);
-      }
-    }
-  }
-  if (rsan_) {
-    const stats::RsanSummary s = rsan_->summary();
-    // Same discipline as psan: undrained correctness findings are loud so
-    // a race surfaces even when the tripping test never looks at rsan.
-    if (s.correctness() > 0) {
-      std::fprintf(stderr,
-                   "rsan: %llu race/isolation violation(s) at pool teardown "
-                   "(write_write_race=%llu read_write_race=%llu "
-                   "orec_coverage=%llu early_release=%llu)\n",
-                   static_cast<unsigned long long>(s.correctness()),
-                   static_cast<unsigned long long>(s.write_write_race),
-                   static_cast<unsigned long long>(s.read_write_race),
-                   static_cast<unsigned long long>(s.orec_coverage),
-                   static_cast<unsigned long long>(s.early_release));
-      for (const analysis::RsanDiag& d : rsan_->drain()) {
-        std::fprintf(stderr,
-                     "rsan:   %s worker=%d other=%d addr=0x%llx line=%llu "
-                     "event=%llu: %s\n",
-                     analysis::rsan_kind_name(d.kind), d.worker, d.other,
-                     static_cast<unsigned long long>(d.addr),
-                     static_cast<unsigned long long>(d.line),
-                     static_cast<unsigned long long>(d.event), d.what);
-      }
-    }
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    if (const char* path = std::getenv("REPRO_RSAN_OUT")) {
-      if (std::FILE* f = std::fopen(path, "a")) {
-        std::fprintf(f,
-                     "{\"enabled\":true,\"events\":%llu,\"loads\":%llu,"
-                     "\"stores\":%llu,\"acquires\":%llu,\"releases\":%llu,"
-                     "\"validated_reads\":%llu,\"inherits\":%llu,"
-                     "\"write_write_race\":%llu,\"read_write_race\":%llu,"
-                     "\"orec_coverage\":%llu,\"early_release\":%llu,"
-                     "\"diags_dropped\":%llu}\n",
-                     static_cast<unsigned long long>(s.events),
-                     static_cast<unsigned long long>(s.loads),
-                     static_cast<unsigned long long>(s.stores),
-                     static_cast<unsigned long long>(s.acquires),
-                     static_cast<unsigned long long>(s.releases),
-                     static_cast<unsigned long long>(s.validated_reads),
-                     static_cast<unsigned long long>(s.inherits),
-                     static_cast<unsigned long long>(s.write_write_race),
-                     static_cast<unsigned long long>(s.read_write_race),
-                     static_cast<unsigned long long>(s.orec_coverage),
-                     static_cast<unsigned long long>(s.early_release),
-                     static_cast<unsigned long long>(s.diags_dropped));
-        std::fclose(f);
-      }
-    }
-  }
-}
+// The sanitizers report (stderr leak summary, JSONL stream) from their own
+// destructors.
+Memory::~Memory() = default;
 
 void Memory::psan_store(sim::ExecContext& ctx, const void* addr, size_t len,
                         Space space) {

@@ -264,8 +264,8 @@ class Memory {
   // ----- persistency sanitizer -------------------------------------------
 
   /// The sanitizer instance, or nullptr when off (SystemConfig::psan is
-  /// false and REPRO_PSAN is unset). Callers needing more than the
-  /// ordering-point helper below (summaries, drain) go through this.
+  /// false). Callers needing more than the ordering-point helper below
+  /// (summaries, drain) go through this.
   analysis::Psan* psan() const { return psan_.get(); }
 
   /// Declare an ordering point: every store the calling worker made to
@@ -277,15 +277,15 @@ class Memory {
   // ----- race & isolation sanitizer --------------------------------------
 
   /// The happens-before sanitizer instance, or nullptr when off
-  /// (SystemConfig::rsan false and REPRO_RSAN unset). The PTM layers
-  /// declare their synchronization edges through this pointer; every hook
-  /// site is a single null-pointer test when off.
+  /// (SystemConfig::rsan false). The PTM layers declare their
+  /// synchronization edges through this pointer; every hook site is a
+  /// single null-pointer test when off.
   analysis::Rsan* rsan() const { return rsan_.get(); }
 
   // ----- emulated DIMM performance counters ------------------------------
 
-  /// The device-counter collector, or nullptr when off (SystemConfig::
-  /// devstats false and REPRO_DEVSTATS unset).
+  /// The device-counter collector, or nullptr when off
+  /// (SystemConfig::devstats false).
   stats::DevStats* devstats() const { return devstats_.get(); }
 
   /// Assemble the run's "device" section: the collector's media/XPBuffer/
@@ -482,8 +482,10 @@ class Memory {
   // of older snapshots are skipped (see apply_pending_locked).
   std::unordered_map<uint64_t, uint64_t> line_applied_seq_;
 
-  std::unique_ptr<analysis::Psan> psan_;
+  // rsan_ before psan_: members are destroyed in reverse order, so psan's
+  // teardown report prints first.
   std::unique_ptr<analysis::Rsan> rsan_;
+  std::unique_ptr<analysis::Psan> psan_;
   std::unique_ptr<stats::DevStats> devstats_;
 
   std::atomic<bool> armed_{false};

@@ -6,8 +6,29 @@
 #include <stdexcept>
 
 namespace nvm {
+namespace {
 
-Pool::Pool(const SystemConfig& cfg) : cfg_(cfg) {
+// The one place REPRO_* knobs reach a SystemConfig: each forces an opt-in
+// layer on for every pool in the process, so CI can run the whole test
+// matrix under a sanitizer without touching each test's config. A knob is
+// on when it is set, non-empty and does not start with '0'.
+bool env_on(const char* name) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): config probe at pool creation; nothing in-process calls setenv
+  const char* s = std::getenv(name);
+  return s != nullptr && s[0] != '\0' && s[0] != '0';
+}
+
+SystemConfig resolve_env(SystemConfig cfg) {
+  cfg.psan = cfg.psan || env_on("REPRO_PSAN");
+  cfg.rsan = cfg.rsan || env_on("REPRO_RSAN");
+  cfg.devstats = cfg.devstats || env_on("REPRO_DEVSTATS");
+  cfg.epoch_commit = cfg.epoch_commit || env_on("REPRO_EPOCH");
+  return cfg;
+}
+
+}  // namespace
+
+Pool::Pool(const SystemConfig& cfg) : cfg_(resolve_env(cfg)) {
   const size_t meta_total =
       static_cast<size_t>(cfg_.max_workers) * cfg_.per_worker_meta_bytes;
   const size_t min_size = kHeaderBytes + kRootBytes + meta_total + (1u << 20);

@@ -78,6 +78,8 @@ class Pool {
   }
 
   Memory& mem() { return *mem_; }
+  /// The caller's config with the REPRO_* opt-in knobs applied (see
+  /// SystemConfig); everything built over this pool reads this copy.
   const SystemConfig& config() const { return cfg_; }
 
   /// Simulate a power failure (crash_sim configs only): the heap reverts to

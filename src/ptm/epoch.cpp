@@ -4,7 +4,6 @@
 #include "ptm/epoch.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "analysis/psan.h"
 #include "analysis/rsan.h"
@@ -14,15 +13,6 @@
 #include "util/crc32.h"
 
 namespace ptm {
-
-bool EpochManager::env_enabled() {
-  static const bool on = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    const char* s = std::getenv("REPRO_EPOCH");
-    return s != nullptr && s[0] == '1';
-  }();
-  return on;
-}
 
 void EpochManager::commit(Tx& tx) {
   sim::ExecContext& ctx = *tx.ctx_;

@@ -63,10 +63,6 @@ class EpochManager {
         n_workers_(max_workers),
         members_(new Member[static_cast<size_t>(max_workers)]) {}
 
-  /// REPRO_EPOCH=1 forces epoch commit on for every runtime, like
-  /// REPRO_PSAN for the sanitizer (first call caches the lookup).
-  static bool env_enabled();
-
   /// Commit `tx` through the epoch machinery: publish the sealed slot,
   /// wait (or lead) until the epoch containing it closes durably. On
   /// return the transaction's COMMITTED status is durable; the caller

@@ -18,7 +18,7 @@ Runtime::Runtime(nvm::Pool& pool, Algo algo)
   for (int w = 0; w < pool.config().max_workers; w++) {
     txs_.emplace_back(new Tx(*this, w));
   }
-  if (pool.config().epoch_commit || EpochManager::env_enabled()) {
+  if (pool.config().epoch_commit) {
     epochs_.reset(new EpochManager(pool.config().epoch_max_txs,
                                    pool.config().epoch_max_ns,
                                    pool.config().max_workers));

@@ -143,8 +143,8 @@ class Runtime {
   alloc::PersistentAllocator& allocator() { return alloc_; }
   Algo algo() const { return algo_; }
 
-  /// Group-commit machinery; null unless SystemConfig::epoch_commit (or
-  /// REPRO_EPOCH=1) selected the mode when this runtime was built.
+  /// Group-commit machinery; null unless the pool's SystemConfig::
+  /// epoch_commit selected the mode when this runtime was built.
   EpochManager* epochs() const { return epochs_.get(); }
 
   /// Thread-crash containment; null unless SystemConfig::tx_timeout_ns > 0

@@ -50,91 +50,4 @@ TxCounters aggregate(const std::vector<TxCounters>& per_thread) {
   return total;
 }
 
-void RecoveryReport::add(const RecoveryReport& o) {
-  slots_scanned += o.slots_scanned;
-  slots_committed += o.slots_committed;
-  slots_rolled_back += o.slots_rolled_back;
-  records_replayed += o.records_replayed;
-  records_stale += o.records_stale;
-  records_torn += o.records_torn;
-  records_invalid += o.records_invalid;
-  records_media_faulted += o.records_media_faulted;
-  allocs_cancelled += o.allocs_cancelled;
-  frees_applied += o.frees_applied;
-  segment_links_truncated += o.segment_links_truncated;
-  log_crc_mismatches += o.log_crc_mismatches;
-  media_faults += o.media_faults;
-  records_damaged += o.records_damaged;
-  records_repaired += o.records_repaired;
-  records_lost += o.records_lost;
-  mirror_enabled = mirror_enabled || o.mirror_enabled;
-}
-
-void ScrubStats::add(const ScrubStats& o) {
-  enabled = enabled || o.enabled;
-  passes += o.passes;
-  lines_scanned += o.lines_scanned;
-  crc_checks += o.crc_checks;
-  media_faults_found += o.media_faults_found;
-  repaired += o.repaired;
-  unrepairable += o.unrepairable;
-  header_repairs += o.header_repairs;
-  skipped_busy += o.skipped_busy;
-}
-
-void EpochStats::add(const EpochStats& o) {
-  enabled = enabled || o.enabled;
-  epochs += o.epochs;
-  member_txs += o.member_txs;
-  closed_by_size += o.closed_by_size;
-  closed_by_age += o.closed_by_age;
-  closed_by_crash += o.closed_by_crash;
-  size.merge(o.size);
-}
-
-void ContainmentStats::add(const ContainmentStats& o) {
-  enabled = enabled || o.enabled;
-  deaths += o.deaths;
-  stuck_tx_reclaimed += o.stuck_tx_reclaimed;
-  aborts_on_behalf += o.aborts_on_behalf;
-  commits_completed += o.commits_completed;
-  leader_takeovers += o.leader_takeovers;
-  zombies_fenced += o.zombies_fenced;
-  watchdog_passes += o.watchdog_passes;
-  reclaim_latency_ns.merge(o.reclaim_latency_ns);
-}
-
-void PsanSummary::add(const PsanSummary& o) {
-  enabled = enabled || o.enabled;
-  events += o.events;
-  checks += o.checks;
-  missing_flush += o.missing_flush;
-  misordered_persist += o.misordered_persist;
-  redundant_flush += o.redundant_flush;
-  redundant_fence += o.redundant_fence;
-  unflushed_at_crash += o.unflushed_at_crash;
-  torn_at_crash += o.torn_at_crash;
-  diags_dropped += o.diags_dropped;
-  for (size_t i = 0; i < kNumPhases; i++) {
-    redundant_flush_by_phase[i] += o.redundant_flush_by_phase[i];
-    redundant_fence_by_phase[i] += o.redundant_fence_by_phase[i];
-  }
-}
-
-void RsanSummary::add(const RsanSummary& o) {
-  enabled = enabled || o.enabled;
-  events += o.events;
-  loads += o.loads;
-  stores += o.stores;
-  acquires += o.acquires;
-  releases += o.releases;
-  validated_reads += o.validated_reads;
-  inherits += o.inherits;
-  write_write_race += o.write_write_race;
-  read_write_race += o.read_write_race;
-  orec_coverage += o.orec_coverage;
-  early_release += o.early_release;
-  diags_dropped += o.diags_dropped;
-}
-
 }  // namespace stats

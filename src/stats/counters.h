@@ -84,7 +84,7 @@ TxCounters aggregate(const std::vector<TxCounters>& per_thread);
 /// bounds offsets, whole-log checksum mismatches on committed logs). On a
 /// clean start — or after recovering a crash that tore nothing — all
 /// discard buckets are zero; CI gates on that for non-crash runs
-/// (scripts/check_recovery_report.py).
+/// (scripts/check_gates.py).
 struct RecoveryReport {
   uint64_t slots_scanned = 0;         // worker slots examined
   uint64_t slots_committed = 0;       // redo logs replayed forward
@@ -118,8 +118,6 @@ struct RecoveryReport {
   uint64_t records_discarded() const {
     return records_torn + records_invalid + records_media_faulted;
   }
-
-  void add(const RecoveryReport& o);
 };
 
 /// Surfaced by Runtime::recover() under RecoveryPolicy::kSalvage when
@@ -147,8 +145,6 @@ struct ScrubStats {
   uint64_t unrepairable = 0;       // poisoned lines with no healthy mirror
   uint64_t header_repairs = 0;     // of `repaired`: slot/segment header lines
   uint64_t skipped_busy = 0;       // slots skipped because a tx was in flight
-
-  void add(const ScrubStats& o);
 };
 
 /// Aggregated verdict of the persistency sanitizer (analysis::Psan) for
@@ -157,7 +153,7 @@ struct ScrubStats {
 /// lints (extra Table III fence/flush cost), broken down by the phase
 /// taxonomy so a lint points at the code path that issued it. Serialized
 /// under the "psan" key of REPRO_JSON artifacts (only when enabled) and
-/// gated in CI by scripts/check_psan.py.
+/// gated in CI by scripts/check_gates.py.
 struct PsanSummary {
   bool enabled = false;
   uint64_t events = 0;              // hooked store/clwb/sfence instructions
@@ -174,8 +170,6 @@ struct PsanSummary {
 
   /// The CI-gated total: any nonzero value is an ordering bug.
   uint64_t correctness() const { return missing_flush + misordered_persist; }
-
-  void add(const PsanSummary& o);
 };
 
 /// Aggregated verdict of the happens-before race & isolation sanitizer
@@ -183,7 +177,7 @@ struct PsanSummary {
 /// are correctness counters — any nonzero value means a synchronization
 /// bug in a PTM protocol, not a style issue. Serialized under the "rsan"
 /// key of REPRO_JSON artifacts (only when enabled) and gated in CI by
-/// scripts/check_rsan.py.
+/// scripts/check_gates.py.
 struct RsanSummary {
   bool enabled = false;
   uint64_t events = 0;           // hooked load/store/sync instructions
@@ -203,8 +197,6 @@ struct RsanSummary {
   uint64_t correctness() const {
     return write_write_race + read_write_race + orec_coverage + early_release;
   }
-
-  void add(const RsanSummary& o);
 };
 
 /// Group/epoch-commit counters (ptm::EpochManager), one runtime lifetime.
@@ -225,8 +217,6 @@ struct EpochStats {
     return epochs == 0 ? 0.0
                        : static_cast<double>(member_txs) / static_cast<double>(epochs);
   }
-
-  void add(const EpochStats& o);
 };
 
 /// Thread-crash containment counters (ptm::ContainmentManager), one
@@ -244,8 +234,6 @@ struct ContainmentStats {
   uint64_t zombies_fenced = 0;     // stalled workers killed on wake after reclamation
   uint64_t watchdog_passes = 0;    // watchdog sweeps completed
   Histogram reclaim_latency_ns;    // lease expiry -> slot retired, per reclaim
-
-  void add(const ContainmentStats& o);
 };
 
 /// Record a phase latency if telemetry is on and a counter sink exists.

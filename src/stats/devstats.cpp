@@ -16,15 +16,6 @@ const char* channel_name(size_t i) {
   }
 }
 
-bool DevStats::env_enabled() {
-  static const bool on = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    const char* s = std::getenv("REPRO_DEVSTATS");
-    return s != nullptr && s[0] != '\0' && s[0] != '0';
-  }();
-  return on;
-}
-
 DevStats::DevStats(int max_workers)
     // +1: Memory hooks can run outside any worker (setup/recovery contexts
     // report high ids); they map onto the last slot, mirroring Psan.

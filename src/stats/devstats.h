@@ -172,10 +172,6 @@ class DevStats {
 
   explicit DevStats(int max_workers);
 
-  /// True when REPRO_DEVSTATS is set non-empty/non-zero (forces the
-  /// subsystem on regardless of SystemConfig::devstats).
-  static bool env_enabled();
-
   // ----- hooks (called by nvm::Memory alongside its channel bookings) ----
   // `now_ns` is the accessing worker's simulated clock; it drives the
   // XPBuffer residency-window drain, never any charged time.

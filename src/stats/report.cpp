@@ -1,5 +1,10 @@
 #include "stats/report.h"
 
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <string_view>
+
 namespace stats {
 namespace {
 
@@ -29,6 +34,117 @@ void write_histogram_summary(JsonWriter& w, const Histogram& h) {
   w.kv("max_ns", h.max());
   w.end_object();
 }
+
+namespace {
+
+// One writer per opt-in summary: the section body (the caller owns the
+// braces). The REPRO_JSON section and the REPRO_{P,R}SAN_OUT JSONL record
+// both go through these, so the two forms cannot drift apart.
+
+void write_fields(JsonWriter& w, const ScrubStats& sc) {
+  w.kv("passes", sc.passes);
+  w.kv("lines_scanned", sc.lines_scanned);
+  w.kv("crc_checks", sc.crc_checks);
+  w.kv("media_faults_found", sc.media_faults_found);
+  w.kv("repaired", sc.repaired);
+  w.kv("unrepairable", sc.unrepairable);
+  w.kv("header_repairs", sc.header_repairs);
+  w.kv("skipped_busy", sc.skipped_busy);
+}
+
+void write_fields(JsonWriter& w, const PsanSummary& ps) {
+  w.kv("events", ps.events);
+  w.kv("checks", ps.checks);
+  w.kv("missing_flush", ps.missing_flush);
+  w.kv("misordered_persist", ps.misordered_persist);
+  w.kv("redundant_flush", ps.redundant_flush);
+  w.kv("redundant_fence", ps.redundant_fence);
+  w.kv("unflushed_at_crash", ps.unflushed_at_crash);
+  w.kv("torn_at_crash", ps.torn_at_crash);
+  w.kv("diags_dropped", ps.diags_dropped);
+  // Phase attribution for the perf lints; only phases that lint.
+  w.key("redundant_flush_by_phase").begin_object();
+  for (size_t i = 0; i < kNumPhases; i++) {
+    if (ps.redundant_flush_by_phase[i] == 0) continue;
+    w.kv(phase_name(static_cast<Phase>(i)), ps.redundant_flush_by_phase[i]);
+  }
+  w.end_object();
+  w.key("redundant_fence_by_phase").begin_object();
+  for (size_t i = 0; i < kNumPhases; i++) {
+    if (ps.redundant_fence_by_phase[i] == 0) continue;
+    w.kv(phase_name(static_cast<Phase>(i)), ps.redundant_fence_by_phase[i]);
+  }
+  w.end_object();
+}
+
+void write_fields(JsonWriter& w, const RsanSummary& rs) {
+  w.kv("events", rs.events);
+  w.kv("loads", rs.loads);
+  w.kv("stores", rs.stores);
+  w.kv("acquires", rs.acquires);
+  w.kv("releases", rs.releases);
+  w.kv("validated_reads", rs.validated_reads);
+  w.kv("inherits", rs.inherits);
+  w.kv("write_write_race", rs.write_write_race);
+  w.kv("read_write_race", rs.read_write_race);
+  w.kv("orec_coverage", rs.orec_coverage);
+  w.kv("early_release", rs.early_release);
+  w.kv("diags_dropped", rs.diags_dropped);
+}
+
+void write_fields(JsonWriter& w, const EpochStats& ep) {
+  w.kv("epochs", ep.epochs);
+  w.kv("member_txs", ep.member_txs);
+  w.kv("mean_size", ep.mean_size());
+  w.kv("closed_by_size", ep.closed_by_size);
+  w.kv("closed_by_age", ep.closed_by_age);
+  w.kv("closed_by_crash", ep.closed_by_crash);
+  w.key("size");
+  write_count_histogram_summary(w, ep.size);
+}
+
+void write_fields(JsonWriter& w, const ContainmentStats& cm) {
+  w.kv("deaths", cm.deaths);
+  w.kv("stuck_tx_reclaimed", cm.stuck_tx_reclaimed);
+  w.kv("aborts_on_behalf", cm.aborts_on_behalf);
+  w.kv("commits_completed", cm.commits_completed);
+  w.kv("leader_takeovers", cm.leader_takeovers);
+  w.kv("zombies_fenced", cm.zombies_fenced);
+  w.kv("watchdog_passes", cm.watchdog_passes);
+  w.key("reclaim_latency_ns");
+  write_histogram_summary(w, cm.reclaim_latency_ns);
+}
+
+/// `"name":{...}` when the layer ran; nothing at all when it did not, so
+/// default-config artifacts keep the bytes they had before the layer existed.
+template <typename Summary>
+void write_section(JsonWriter& w, std::string_view name, const Summary& s) {
+  if (!s.enabled) return;
+  w.key(name).begin_object();
+  write_fields(w, s);
+  w.end_object();
+}
+
+template <typename Summary>
+void append_record(const char* path, const Summary& s) {
+  if (path == nullptr) return;
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  w.kv("enabled", s.enabled);
+  write_fields(w, s);
+  w.end_object();
+  os << '\n';
+  // One fwrite of the whole line: concurrent test processes appending to
+  // the same stream interleave whole records, not fragments.
+  if (std::FILE* f = std::fopen(path, "a")) {
+    const std::string line = os.str();
+    std::fwrite(line.data(), 1, line.size(), f);
+    std::fclose(f);
+  }
+}
+
+}  // namespace
 
 void write_run_result_fields(JsonWriter& w, const RunResult& r) {
   w.kv("workload", r.workload);
@@ -103,94 +219,11 @@ void write_run_result_fields(JsonWriter& w, const RunResult& r) {
   }
   w.end_object();
 
-  if (r.scrub.enabled) {
-    const ScrubStats& sc = r.scrub;
-    w.key("scrub").begin_object();
-    w.kv("passes", sc.passes);
-    w.kv("lines_scanned", sc.lines_scanned);
-    w.kv("crc_checks", sc.crc_checks);
-    w.kv("media_faults_found", sc.media_faults_found);
-    w.kv("repaired", sc.repaired);
-    w.kv("unrepairable", sc.unrepairable);
-    w.kv("header_repairs", sc.header_repairs);
-    w.kv("skipped_busy", sc.skipped_busy);
-    w.end_object();
-  }
-
-  if (r.psan.enabled) {
-    const PsanSummary& ps = r.psan;
-    w.key("psan").begin_object();
-    w.kv("events", ps.events);
-    w.kv("checks", ps.checks);
-    w.kv("missing_flush", ps.missing_flush);
-    w.kv("misordered_persist", ps.misordered_persist);
-    w.kv("redundant_flush", ps.redundant_flush);
-    w.kv("redundant_fence", ps.redundant_fence);
-    w.kv("unflushed_at_crash", ps.unflushed_at_crash);
-    w.kv("torn_at_crash", ps.torn_at_crash);
-    w.kv("diags_dropped", ps.diags_dropped);
-    // Phase attribution for the perf lints; only phases that lint.
-    w.key("redundant_flush_by_phase").begin_object();
-    for (size_t i = 0; i < kNumPhases; i++) {
-      if (ps.redundant_flush_by_phase[i] == 0) continue;
-      w.kv(phase_name(static_cast<Phase>(i)), ps.redundant_flush_by_phase[i]);
-    }
-    w.end_object();
-    w.key("redundant_fence_by_phase").begin_object();
-    for (size_t i = 0; i < kNumPhases; i++) {
-      if (ps.redundant_fence_by_phase[i] == 0) continue;
-      w.kv(phase_name(static_cast<Phase>(i)), ps.redundant_fence_by_phase[i]);
-    }
-    w.end_object();
-    w.end_object();
-  }
-
-  if (r.rsan.enabled) {
-    const RsanSummary& rs = r.rsan;
-    w.key("rsan").begin_object();
-    w.kv("events", rs.events);
-    w.kv("loads", rs.loads);
-    w.kv("stores", rs.stores);
-    w.kv("acquires", rs.acquires);
-    w.kv("releases", rs.releases);
-    w.kv("validated_reads", rs.validated_reads);
-    w.kv("inherits", rs.inherits);
-    w.kv("write_write_race", rs.write_write_race);
-    w.kv("read_write_race", rs.read_write_race);
-    w.kv("orec_coverage", rs.orec_coverage);
-    w.kv("early_release", rs.early_release);
-    w.kv("diags_dropped", rs.diags_dropped);
-    w.end_object();
-  }
-
-  if (r.epoch.enabled) {
-    const EpochStats& ep = r.epoch;
-    w.key("epoch").begin_object();
-    w.kv("epochs", ep.epochs);
-    w.kv("member_txs", ep.member_txs);
-    w.kv("mean_size", ep.mean_size());
-    w.kv("closed_by_size", ep.closed_by_size);
-    w.kv("closed_by_age", ep.closed_by_age);
-    w.kv("closed_by_crash", ep.closed_by_crash);
-    w.key("size");
-    write_count_histogram_summary(w, ep.size);
-    w.end_object();
-  }
-
-  if (r.containment.enabled) {
-    const ContainmentStats& cm = r.containment;
-    w.key("containment").begin_object();
-    w.kv("deaths", cm.deaths);
-    w.kv("stuck_tx_reclaimed", cm.stuck_tx_reclaimed);
-    w.kv("aborts_on_behalf", cm.aborts_on_behalf);
-    w.kv("commits_completed", cm.commits_completed);
-    w.kv("leader_takeovers", cm.leader_takeovers);
-    w.kv("zombies_fenced", cm.zombies_fenced);
-    w.kv("watchdog_passes", cm.watchdog_passes);
-    w.key("reclaim_latency_ns");
-    write_histogram_summary(w, cm.reclaim_latency_ns);
-    w.end_object();
-  }
+  write_section(w, "scrub", r.scrub);
+  write_section(w, "psan", r.psan);
+  write_section(w, "rsan", r.rsan);
+  write_section(w, "epoch", r.epoch);
+  write_section(w, "containment", r.containment);
 
   if (r.device.enabled) {
     w.key("device").begin_object();
@@ -198,6 +231,10 @@ void write_run_result_fields(JsonWriter& w, const RunResult& r) {
     w.end_object();
   }
 }
+
+void append_jsonl(const char* path, const PsanSummary& s) { append_record(path, s); }
+
+void append_jsonl(const char* path, const RsanSummary& s) { append_record(path, s); }
 
 void write_device_fields(JsonWriter& w, const DeviceCounters& d, double dynamic_pj) {
   w.kv("enabled", d.enabled);

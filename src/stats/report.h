@@ -48,31 +48,19 @@ struct RunResult {
   // Startup recovery outcome for this point's pool (a fresh pool recovers
   // trivially: all-zero except slots_scanned) plus log-range registrations
   // the memory model had to drop. CI gates on these being clean — see
-  // scripts/check_recovery_report.py.
+  // scripts/check_gates.py.
   RecoveryReport recovery;
   uint64_t log_range_drops = 0;
 
-  // Background scrubber counters; serialized under a "scrub" key only when
-  // scrub.enabled (scrub_interval_ns > 0), keeping default artifacts
-  // byte-identical to pre-scrubber runs.
-  ScrubStats scrub;
-
-  // Persistency-sanitizer verdict for this point's pool; serialized under
-  // a "psan" key only when psan.enabled (so default-config artifacts stay
-  // byte-identical to runs built before the sanitizer existed).
-  PsanSummary psan;
-
-  // Race/isolation-sanitizer verdict (analysis::Rsan); serialized under an
-  // "rsan" key only when rsan.enabled, same purity contract as psan.
-  RsanSummary rsan;
-
-  // Group/epoch-commit counters (ptm::EpochManager); serialized under an
-  // "epoch" key only when epoch.enabled, like scrub/psan/device.
-  EpochStats epoch;
-
-  // Thread-crash containment counters (ptm::ContainmentManager);
-  // serialized under a "containment" key only when containment.enabled.
-  ContainmentStats containment;
+  // The opt-in layers' summaries. Each is serialized under its own key
+  // ("scrub", "psan", "rsan", "epoch", "containment") only when its
+  // `enabled` flag is set, so default-config artifacts stay byte-identical
+  // to runs built before the layer existed.
+  ScrubStats scrub;              // background scrubber (scrub_interval_ns > 0)
+  PsanSummary psan;              // persistency sanitizer (analysis::Psan)
+  RsanSummary rsan;              // race/isolation sanitizer (analysis::Rsan)
+  EpochStats epoch;              // group/epoch commit (ptm::EpochManager)
+  ContainmentStats containment;  // thread-crash containment (ptm::ContainmentManager)
 
   /// Committed transactions per simulated second.
   double throughput_tx_per_sec() const {
@@ -93,6 +81,12 @@ void write_run_result_fields(JsonWriter& w, const RunResult& r);
 /// Phase summary helper, also used on its own by tests: writes an object
 /// {count,sum_ns,mean_ns,p50_ns,p90_ns,p99_ns,max_ns} for one histogram.
 void write_histogram_summary(JsonWriter& w, const Histogram& h);
+
+/// Append one sanitizer summary to the JSONL file at `path` (the
+/// REPRO_{P,R}SAN_OUT streams) as {"enabled":true, <the fields of its
+/// REPRO_JSON section>}. No-op when `path` is null or cannot be opened.
+void append_jsonl(const char* path, const PsanSummary& s);
+void append_jsonl(const char* path, const RsanSummary& s);
 
 /// Write the "device" section body (media/XPBuffer/WPQ/stall/channel/energy
 /// counters; docs/OBSERVABILITY.md documents the schema). `dynamic_pj` is

@@ -29,14 +29,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 
 #include "ptm/backoff.h"
 #include "ptm/containment.h"
 #include "ptm/runtime.h"
 #include "ptm/watchdog.h"
 #include "sim/engine.h"
-#include "stats/report.h"
 #include "test_common.h"
 
 namespace {
@@ -163,32 +161,6 @@ TEST(Containment, DisabledByDefaultIsNullManager) {
   ASSERT_NE(on.rt.containment(), nullptr);
   EXPECT_EQ(on.rt.containment()->timeout_ns(), kTimeoutNs);
   EXPECT_TRUE(on.rt.containment()->snapshot().enabled);
-}
-
-TEST(Containment, JsonKeyPresentExactlyWhenEnabled) {
-  stats::RunResult r;
-  r.containment.enabled = true;
-  r.containment.deaths = 2;
-  r.containment.stuck_tx_reclaimed = 1;
-  r.containment.leader_takeovers = 1;
-  std::ostringstream os;
-  stats::JsonWriter w(os);
-  w.begin_object();
-  write_run_result_fields(w, r);
-  w.end_object();
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"containment\""), std::string::npos);
-  EXPECT_NE(s.find("\"stuck_tx_reclaimed\":1"), std::string::npos);
-  EXPECT_NE(s.find("\"leader_takeovers\":1"), std::string::npos);
-
-  // Disabled (the default) must leave the artifact without the key:
-  // byte-identity for default configs.
-  std::ostringstream os2;
-  stats::JsonWriter w2(os2);
-  w2.begin_object();
-  write_run_result_fields(w2, stats::RunResult{});
-  w2.end_object();
-  EXPECT_EQ(os2.str().find("\"containment\""), std::string::npos);
 }
 
 // ----- progress after a mid-run kill -------------------------------------

@@ -18,12 +18,8 @@
 //    if its commit record reached the domain before the failure.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
-
 #include "ptm/runtime.h"
 #include "sim/engine.h"
-#include "stats/report.h"
 #include "test_common.h"
 
 namespace {
@@ -136,12 +132,6 @@ TEST(EpochCommit, AgeTriggeredLoneWorker) {
 // so the per-commit fence count drops below per-transaction commit's on
 // the same concurrent workload (ADR, where fences are real).
 TEST(EpochCommit, FewerFencesPerCommitThanPerTx) {
-  // The REPRO_EPOCH override forces epoch commit on for every runtime, which
-  // turns this A/B comparison into epoch-vs-epoch — equal fence counts by
-  // construction, not a coalescing regression.
-  if (const char* s = std::getenv("REPRO_EPOCH"); s != nullptr && *s != '\0' && *s != '0') {
-    GTEST_SKIP() << "REPRO_EPOCH forces epoch commit on both legs";
-  }
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
     uint64_t fences[2], commits[2];
     for (int mode = 0; mode < 2; mode++) {
@@ -150,6 +140,12 @@ TEST(EpochCommit, FewerFencesPerCommitThanPerTx) {
       cfg.crash_sim = false;
       cfg.epoch_commit = mode == 1;
       nvm::Pool pool(cfg);
+      // REPRO_EPOCH forces epoch commit on for every pool, which turns this
+      // A/B comparison into epoch-vs-epoch — equal fence counts by
+      // construction, not a coalescing regression.
+      if (pool.config().epoch_commit != cfg.epoch_commit) {
+        GTEST_SKIP() << "REPRO_EPOCH forces epoch commit on both legs";
+      }
       ptm::Runtime rt(pool, algo);
       auto* root = pool.root<BankRoot>();
       sim::RealContext setup(3, 4);
@@ -178,35 +174,6 @@ TEST(EpochCommit, FewerFencesPerCommitThanPerTx) {
     EXPECT_LT(fences[1], fences[0])
         << ptm::algo_suffix(algo) << ": epoch mode must coalesce fences";
   }
-}
-
-TEST(EpochCommit, StatsSerializeUnderEpochKey) {
-  stats::RunResult r;
-  r.epoch.enabled = true;
-  r.epoch.epochs = 2;
-  r.epoch.member_txs = 5;
-  r.epoch.closed_by_size = 1;
-  r.epoch.closed_by_age = 1;
-  r.epoch.size.record(3);
-  r.epoch.size.record(2);
-  std::ostringstream os;
-  stats::JsonWriter w(os);
-  w.begin_object();
-  write_run_result_fields(w, r);
-  w.end_object();
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"epoch\""), std::string::npos);
-  EXPECT_NE(s.find("\"member_txs\":5"), std::string::npos);
-  EXPECT_NE(s.find("\"mean_size\""), std::string::npos);
-
-  // Disabled (the default) must leave the artifact without an epoch key:
-  // byte-identity for default configs.
-  std::ostringstream os2;
-  stats::JsonWriter w2(os2);
-  w2.begin_object();
-  write_run_result_fields(w2, stats::RunResult{});
-  w2.end_object();
-  EXPECT_EQ(os2.str().find("\"epoch\""), std::string::npos);
 }
 
 // ----- reset after recovery ----------------------------------------------

@@ -5,13 +5,11 @@
 // sanitizer ran. docs/ANALYSIS.md documents the state machine under test.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "analysis/psan.h"
 #include "nvm/pool.h"
 #include "ptm/runtime.h"
-#include "stats/report.h"
 #include "test_common.h"
 
 namespace {
@@ -385,39 +383,6 @@ TEST(PsanEpochAttribution, LeaderFenceDoesNotRetireStoreAfterCapture) {
   EXPECT_EQ(diags[0].kind, DiagKind::kMissingFlush);
   EXPECT_EQ(diags[0].worker, 1);
   EXPECT_STREQ(diags[0].state, "dirty (never flushed)");
-}
-
-// ------------------------------------------------- artifact serialization
-
-TEST(PsanReport, JsonKeyPresentExactlyWhenEnabled) {
-  stats::RunResult r;
-  r.workload = "w";
-  r.config = "c";
-  {
-    std::ostringstream os;
-    stats::JsonWriter w(os);
-    w.begin_object();
-    stats::write_run_result_fields(w, r);
-    w.end_object();
-    EXPECT_EQ(os.str().find("\"psan\""), std::string::npos)
-        << "psan off must keep the artifact byte-identical to pre-psan runs";
-  }
-  r.psan.enabled = true;
-  r.psan.missing_flush = 2;
-  r.psan.redundant_fence = 3;
-  r.psan.redundant_fence_by_phase[static_cast<size_t>(stats::Phase::kFlushDrain)] = 3;
-  {
-    std::ostringstream os;
-    stats::JsonWriter w(os);
-    w.begin_object();
-    stats::write_run_result_fields(w, r);
-    w.end_object();
-    const std::string js = os.str();
-    EXPECT_NE(js.find("\"psan\":{"), std::string::npos);
-    EXPECT_NE(js.find("\"missing_flush\":2"), std::string::npos);
-    EXPECT_NE(js.find("\"redundant_fence_by_phase\":{\"flush_drain\":3}"),
-              std::string::npos);
-  }
 }
 
 }  // namespace

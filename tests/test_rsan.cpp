@@ -6,13 +6,11 @@
 // test.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "analysis/rsan.h"
 #include "nvm/pool.h"
 #include "ptm/runtime.h"
-#include "stats/report.h"
 #include "test_common.h"
 
 namespace {
@@ -342,37 +340,6 @@ TEST(RsanClean, BothAlgosAllDomainsReportZeroCorrectness) {
           << " cov=" << s.orec_coverage << " rel=" << s.early_release;
       rs->drain();
     }
-  }
-}
-
-// ------------------------------------------------- artifact serialization
-
-TEST(RsanReport, JsonKeyPresentExactlyWhenEnabled) {
-  stats::RunResult r;
-  r.workload = "w";
-  r.config = "c";
-  {
-    std::ostringstream os;
-    stats::JsonWriter w(os);
-    w.begin_object();
-    stats::write_run_result_fields(w, r);
-    w.end_object();
-    EXPECT_EQ(os.str().find("\"rsan\""), std::string::npos)
-        << "rsan off must keep the artifact byte-identical to pre-rsan runs";
-  }
-  r.rsan.enabled = true;
-  r.rsan.write_write_race = 2;
-  r.rsan.validated_reads = 5;
-  {
-    std::ostringstream os;
-    stats::JsonWriter w(os);
-    w.begin_object();
-    stats::write_run_result_fields(w, r);
-    w.end_object();
-    const std::string js = os.str();
-    EXPECT_NE(js.find("\"rsan\":{"), std::string::npos);
-    EXPECT_NE(js.find("\"write_write_race\":2"), std::string::npos);
-    EXPECT_NE(js.find("\"validated_reads\":5"), std::string::npos);
   }
 }
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "ptm/runtime.h"
 #include "sim/engine.h"
@@ -243,6 +246,195 @@ TEST(JsonWriter, RunResultFieldsIncludeCausesAndPhases) {
   EXPECT_NE(s.find("\"commit\":{"), std::string::npos) << s;
   // Phases with no samples are omitted from the artifact.
   EXPECT_EQ(s.find("\"wpq_stall\""), std::string::npos) << s;
+}
+
+// ------------------------------------------------------ opt-in sections
+
+std::string run_result_json(const stats::RunResult& r) {
+  std::ostringstream os;
+  stats::JsonWriter w(os);
+  w.begin_object();
+  stats::write_run_result_fields(w, r);
+  w.end_object();
+  return os.str();
+}
+
+/// Every field of the five opt-in summaries (scrub, psan, rsan, epoch,
+/// containment) set to a distinct value, so a dropped, renamed, reordered
+/// or cross-wired key changes the bytes.
+stats::RunResult all_sections_on() {
+  using stats::Phase;
+  stats::RunResult r;
+  r.workload = "w";
+  r.config = "c";
+
+  stats::ScrubStats& sc = r.scrub;
+  sc.enabled = true;
+  sc.passes = 101;
+  sc.lines_scanned = 102;
+  sc.crc_checks = 103;
+  sc.media_faults_found = 104;
+  sc.repaired = 105;
+  sc.unrepairable = 106;
+  sc.header_repairs = 107;
+  sc.skipped_busy = 108;
+
+  stats::PsanSummary& ps = r.psan;
+  ps.enabled = true;
+  ps.events = 201;
+  ps.checks = 202;
+  ps.missing_flush = 203;
+  ps.misordered_persist = 204;
+  ps.redundant_flush = 205;
+  ps.redundant_fence = 206;
+  ps.unflushed_at_crash = 207;
+  ps.torn_at_crash = 208;
+  ps.diags_dropped = 209;
+  ps.redundant_flush_by_phase[static_cast<size_t>(Phase::kCommit)] = 210;
+  ps.redundant_fence_by_phase[static_cast<size_t>(Phase::kFlushDrain)] = 211;
+  ps.redundant_fence_by_phase[static_cast<size_t>(Phase::kAbortBackoff)] = 212;
+
+  stats::RsanSummary& rs = r.rsan;
+  rs.enabled = true;
+  rs.events = 301;
+  rs.loads = 302;
+  rs.stores = 303;
+  rs.acquires = 304;
+  rs.releases = 305;
+  rs.validated_reads = 306;
+  rs.inherits = 307;
+  rs.write_write_race = 308;
+  rs.read_write_race = 309;
+  rs.orec_coverage = 310;
+  rs.early_release = 311;
+  rs.diags_dropped = 312;
+
+  stats::EpochStats& ep = r.epoch;
+  ep.enabled = true;
+  ep.epochs = 401;
+  ep.member_txs = 1203;
+  ep.closed_by_size = 402;
+  ep.closed_by_age = 403;
+  ep.closed_by_crash = 404;
+  ep.size.record(2);
+  ep.size.record(3);
+  ep.size.record(7);
+
+  stats::ContainmentStats& cm = r.containment;
+  cm.enabled = true;
+  cm.deaths = 501;
+  cm.stuck_tx_reclaimed = 502;
+  cm.aborts_on_behalf = 503;
+  cm.commits_completed = 504;
+  cm.leader_takeovers = 505;
+  cm.zombies_fenced = 506;
+  cm.watchdog_passes = 507;
+  cm.reclaim_latency_ns.record(1000);
+  cm.reclaim_latency_ns.record(2500);
+  return r;
+}
+
+// The artifact schema, byte for byte: consumers (compare_results.py,
+// check_gates.py, the docs) depend on these keys and their order. A point
+// with every opt-in section off has the default-config shape; turned on,
+// the sections follow "recovery" in this order.
+constexpr std::string_view kAllOffJson =
+    R"({"workload":"w","config":"c","threads":1,"sim_ns":0,"throughput_tx_per_sec":0,)"
+    R"("counters":{"commits":0,"aborts":0,"reads":0,"writes":0,"clwbs":0,"sfences":0,)"
+    R"("log_bytes":0,"log_lines_hwm":0,"log_growths":0,"pmem_loads":0,"pmem_stores":0,)"
+    R"("dram_cache_hits":0,"dram_cache_misses":0,"l3_hits":0,"l3_misses":0,)"
+    R"("wpq_stall_ns":0,"fence_wait_ns":0,"energy_pj":0},)"
+    R"("abort_causes":{"read_conflict":0,"write_conflict":0,"validation":0,)"
+    R"("explicit":0,"capacity":0},"phases_ns":{},)"
+    R"("recovery":{"slots_scanned":0,"slots_committed":0,"slots_rolled_back":0,)"
+    R"("records_replayed":0,"records_stale":0,"records_torn":0,"records_invalid":0,)"
+    R"("records_media_faulted":0,"records_discarded":0,"allocs_cancelled":0,)"
+    R"("frees_applied":0,"segment_links_truncated":0,"log_crc_mismatches":0,)"
+    R"("media_faults":0,"log_range_drops":0}})";
+
+constexpr std::string_view kOptInSectionsJson =
+    R"(,"scrub":{"passes":101,"lines_scanned":102,"crc_checks":103,)"
+    R"("media_faults_found":104,"repaired":105,"unrepairable":106,)"
+    R"("header_repairs":107,"skipped_busy":108})"
+    R"(,"psan":{"events":201,"checks":202,"missing_flush":203,)"
+    R"("misordered_persist":204,"redundant_flush":205,"redundant_fence":206,)"
+    R"("unflushed_at_crash":207,"torn_at_crash":208,"diags_dropped":209,)"
+    R"("redundant_flush_by_phase":{"commit":210},)"
+    R"("redundant_fence_by_phase":{"flush_drain":211,"abort_backoff":212}})"
+    R"(,"rsan":{"events":301,"loads":302,"stores":303,"acquires":304,)"
+    R"("releases":305,"validated_reads":306,"inherits":307,)"
+    R"("write_write_race":308,"read_write_race":309,"orec_coverage":310,)"
+    R"("early_release":311,"diags_dropped":312})"
+    R"(,"epoch":{"epochs":401,"member_txs":1203,"mean_size":3,)"
+    R"("closed_by_size":402,"closed_by_age":403,"closed_by_crash":404,)"
+    R"("size":{"count":3,"mean":4,"p50":3,"p90":7,"p99":7,"max":7}})"
+    R"(,"containment":{"deaths":501,"stuck_tx_reclaimed":502,)"
+    R"("aborts_on_behalf":503,"commits_completed":504,"leader_takeovers":505,)"
+    R"("zombies_fenced":506,"watchdog_passes":507,)"
+    R"("reclaim_latency_ns":{"count":2,"sum_ns":3500,"mean_ns":1750,)"
+    R"("p50_ns":1023,"p90_ns":2500,"p99_ns":2500,"max_ns":2500}})";
+
+TEST(ReportSections, GoldenBytes) {
+  stats::RunResult off;
+  off.workload = "w";
+  off.config = "c";
+  EXPECT_EQ(run_result_json(off), kAllOffJson);
+  std::string on(kAllOffJson.substr(0, kAllOffJson.size() - 1));
+  on += kOptInSectionsJson;
+  on += '}';
+  EXPECT_EQ(run_result_json(all_sections_on()), on);
+}
+
+// The REPRO_{P,R}SAN_OUT streams: one line per pool, the section's fields
+// behind "enabled":true. psan's two _by_phase maps follow the stream's
+// original keys.
+TEST(ReportSections, JsonlRecordIsTheSectionBody) {
+  const stats::RunResult r = all_sections_on();
+  const std::string path = testing::TempDir() + "report_sections.jsonl";
+  std::remove(path.c_str());
+  stats::append_jsonl(path.c_str(), r.psan);
+  stats::append_jsonl(path.c_str(), r.rsan);
+  stats::append_jsonl(nullptr, r.psan);  // stream not requested: no-op
+  std::ifstream in(path);
+  std::string psan, rsan, extra;
+  ASSERT_TRUE(std::getline(in, psan));
+  ASSERT_TRUE(std::getline(in, rsan));
+  EXPECT_FALSE(std::getline(in, extra));
+  EXPECT_EQ(psan,
+            R"({"enabled":true,"events":201,"checks":202,"missing_flush":203,)"
+            R"("misordered_persist":204,"redundant_flush":205,"redundant_fence":206,)"
+            R"("unflushed_at_crash":207,"torn_at_crash":208,"diags_dropped":209,)"
+            R"("redundant_flush_by_phase":{"commit":210},)"
+            R"("redundant_fence_by_phase":{"flush_drain":211,"abort_backoff":212}})");
+  EXPECT_EQ(rsan,
+            R"({"enabled":true,"events":301,"loads":302,"stores":303,"acquires":304,)"
+            R"("releases":305,"validated_reads":306,"inherits":307,)"
+            R"("write_write_race":308,"read_write_race":309,"orec_coverage":310,)"
+            R"("early_release":311,"diags_dropped":312})");
+  std::remove(path.c_str());
+}
+
+// Off means absent: a disabled section leaves no key behind (default-config
+// artifacts keep their bytes) and does not disturb the other sections.
+TEST(ReportSections, KeyPresentExactlyWhenEnabled) {
+  using Flag = bool* (*)(stats::RunResult&);
+  const std::pair<const char*, Flag> sections[] = {
+      {"\"scrub\":{", [](stats::RunResult& r) { return &r.scrub.enabled; }},
+      {"\"psan\":{", [](stats::RunResult& r) { return &r.psan.enabled; }},
+      {"\"rsan\":{", [](stats::RunResult& r) { return &r.rsan.enabled; }},
+      {"\"epoch\":{", [](stats::RunResult& r) { return &r.epoch.enabled; }},
+      {"\"containment\":{",
+       [](stats::RunResult& r) { return &r.containment.enabled; }},
+  };
+  for (const auto& off : sections) {
+    stats::RunResult r = all_sections_on();
+    *off.second(r) = false;
+    const std::string js = run_result_json(r);
+    for (const auto& s : sections) {
+      EXPECT_EQ(js.find(s.first) != std::string::npos, s.first != off.first)
+          << s.first << " with " << off.first << " off: " << js;
+    }
+  }
 }
 
 // --------------------------------------------------- PTM-integrated telemetry
