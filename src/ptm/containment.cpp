@@ -217,18 +217,10 @@ bool ContainmentManager::reclaim_locked(int victim, sim::ExecContext& ctx,
     // locations (idempotent across reclaimer deaths — re-storing the
     // committed values is harmless while the victim's orecs are held);
     // eager: the data is already in place. Then the committed frees.
-    if (vtx.algo_ == Algo::kOrecLazy && vtx.n_log_ > 0) {
-      for (size_t i = 0; i < vtx.n_log_; i++) {
-        const LogEntry* e = vtx.slot_.entry_at(i);
-        auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(e->off)));
-        mem.store_word(ctx, c, home, e->val, nvm::Space::kData);
-        vtx.dirty_.add(mem.line_of(home));
-      }
+    if (vtx.algo_ == Algo::kOrecLazy) {
+      apply_records(pool, ctx, c, vtx.slot_, vtx.n_log_, /*newest_first=*/false, vtx.dirty_);
     }
-    for (const uint64_t line : vtx.dirty_.lines()) {
-      mem.clwb(ctx, c, pool.base() + line * nvm::Memory::kLineBytes);
-    }
-    if (!vtx.dirty_.lines().empty()) mem.sfence(ctx, c);
+    if (flush_lines(pool, ctx, c, vtx.dirty_)) mem.sfence(ctx, c);
     for (void* p : vtx.tx_frees_) rt_.alloc_.free_block_if_absent(ctx, c, p);
   } else {
     // Roll BACK. Eager: apply the undo log newest-first to the in-place
@@ -238,15 +230,8 @@ bool ContainmentManager::reclaim_locked(int victim, sim::ExecContext& ctx,
     if (vtx.algo_ == Algo::kOrecEager && vtx.n_log_ > 0 &&
         TxSlotHeader::state_of(st) == TxSlotHeader::kActive &&
         TxSlotHeader::epoch_of(st) == vtx.epoch_) {
-      for (size_t i = vtx.n_log_; i-- > 0;) {
-        const LogEntry* e = vtx.slot_.entry_at(i);
-        auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(e->off)));
-        mem.store_word(ctx, c, home, e->val, nvm::Space::kData);
-        vtx.dirty_.add(mem.line_of(home));
-      }
-      for (const uint64_t line : vtx.dirty_.lines()) {
-        mem.clwb(ctx, c, pool.base() + line * nvm::Memory::kLineBytes);
-      }
+      apply_records(pool, ctx, c, vtx.slot_, vtx.n_log_, /*newest_first=*/true, vtx.dirty_);
+      flush_lines(pool, ctx, c, vtx.dirty_);
       mem.sfence(ctx, c);
     }
     for (void* p : vtx.tx_allocs_) rt_.alloc_.free_block_if_absent(ctx, c, p);
@@ -258,25 +243,30 @@ bool ContainmentManager::reclaim_locked(int victim, sim::ExecContext& ctx,
   vtx.tx_allocs_.clear();
   vtx.tx_frees_.clear();
 
-  retire_slot_on_behalf(vtx, ctx, c);
+  // Durably retire the slot to IDLE for the next epoch — through the
+  // RECLAIMER's context (advancing a dead fiber's context would corrupt
+  // the engine). Double epoch bumps across restarted reclaims only skip
+  // values, which the tag scheme tolerates by construction.
+  vtx.n_log_ = 0;
+  vtx.n_alloc_log_ = 0;
+  vtx.epoch_ = retire_slot(pool, ctx, c, vtx.slot_, vtx.epoch_ + 1);
+  vtx.windex_.clear();
+  vtx.dirty_.clear();
+  vtx.read_set_.clear();
+  vtx.active_persisted_ = false;
+  vtx.committed_hint_ = false;
 
   // Release the victim's orecs. CAS, not blind store: if the victim (or a
   // previous reclaimer) already released some — or a later transaction has
   // since acquired and advanced them — the CAS must lose. Restart-safe.
+  // Committed: a fresh version; aborted: each orec's pre-lock word.
   const auto owner = static_cast<uint32_t>(victim);
-  if (committed) {
-    const uint64_t rv = OrecTable::version_word(rt_.orecs_.tick());
-    for (const OwnedOrec& o : vtx.owned_) {
-      if (vtx.rsan_ != nullptr) vtx.rsan_->on_orec_release(ctx.worker_id(), o.orec);
-      uint64_t expect = OrecTable::lock_word(owner);
-      o.orec->compare_exchange_strong(expect, rv, std::memory_order_acq_rel);
-    }
-  } else {
-    for (const OwnedOrec& o : vtx.owned_) {
-      if (vtx.rsan_ != nullptr) vtx.rsan_->on_orec_release(ctx.worker_id(), o.orec);
-      uint64_t expect = OrecTable::lock_word(owner);
-      o.orec->compare_exchange_strong(expect, o.old_word, std::memory_order_acq_rel);
-    }
+  const uint64_t rv = committed ? OrecTable::version_word(rt_.orecs_.tick()) : 0;
+  for (const OwnedOrec& o : vtx.owned_) {
+    if (vtx.rsan_ != nullptr) vtx.rsan_->on_orec_release(ctx.worker_id(), o.orec);
+    uint64_t expect = OrecTable::lock_word(owner);
+    o.orec->compare_exchange_strong(expect, committed ? rv : o.old_word,
+                                    std::memory_order_acq_rel);
   }
   vtx.owned_.clear();
 
@@ -302,38 +292,6 @@ bool ContainmentManager::reclaim_locked(int victim, sim::ExecContext& ctx,
   const uint64_t done_ns = ctx.now_ns();
   stats_.reclaim_latency_ns.record(done_ns > expiry ? done_ns - expiry : 0);
   return true;
-}
-
-void ContainmentManager::retire_slot_on_behalf(Tx& vtx, sim::ExecContext& ctx,
-                                               stats::TxCounters* c) {
-  // The on-behalf twin of Tx::retire_logs + set_status, issued through the
-  // RECLAIMER's context. Same ordering: counts zeroed, epoch advanced
-  // (skipping the reserved tag-0 space with a durable quiesce), mirror
-  // sealed before the primary status, one flush + fence for the header
-  // line. Double epoch bumps across restarted reclaims only skip values,
-  // which the tag scheme tolerates by construction.
-  nvm::Pool& pool = rt_.pool();
-  nvm::Memory& mem = pool.mem();
-  mem.store_word(ctx, c, &vtx.slot_.header->log_count, 0, nvm::Space::kLog);
-  mem.store_word(ctx, c, &vtx.slot_.header->alloc_count, 0, nvm::Space::kLog);
-  vtx.n_log_ = 0;
-  vtx.n_alloc_log_ = 0;
-  vtx.epoch_++;
-  if ((vtx.epoch_ & LogEntry::kTagMask) == 0) {
-    zero_slot_logs(pool, ctx, c, vtx.slot_);
-    vtx.epoch_++;
-  }
-  const uint64_t word = TxSlotHeader::make(vtx.epoch_, TxSlotHeader::kIdle);
-  if (vtx.slot_.mirrored) seal_and_mirror_header(pool, ctx, c, vtx.slot_, word);
-  mem.store_word(ctx, c, &vtx.slot_.header->status, word, nvm::Space::kLog);
-  if (vtx.slot_.mirrored) seal_primary_header_crc(pool, ctx, c, vtx.slot_);
-  mem.clwb(ctx, c, vtx.slot_.header);
-  mem.sfence(ctx, c);
-  vtx.windex_.clear();
-  vtx.dirty_.clear();
-  vtx.read_set_.clear();
-  vtx.active_persisted_ = false;
-  vtx.committed_hint_ = false;
 }
 
 void ContainmentManager::reset() {

@@ -144,15 +144,10 @@ class ContainmentManager {
   bool reclaim(int victim, sim::ExecContext& ctx, stats::TxCounters* c);
 
   /// The surgery proper (guard held, victim fenced): resolve the epoch
-  /// phase, dispatch on the slot's durable status, roll forward/back,
-  /// retire, release, notify.
+  /// phase, dispatch on the slot's durable status, roll forward/back
+  /// (ptm::apply_records), retire (ptm::retire_slot), release, notify — every
+  /// store, flush and fence through the reclaimer's context.
   bool reclaim_locked(int victim, sim::ExecContext& ctx, stats::TxCounters* c);
-
-  /// Durably retire the victim's slot to IDLE for the next epoch — the
-  /// on-behalf twin of Tx::retire_logs, issuing every store/flush/fence
-  /// through the RECLAIMER's context (advancing a dead fiber's context
-  /// would corrupt the engine).
-  void retire_slot_on_behalf(Tx& vtx, sim::ExecContext& ctx, stats::TxCounters* c);
 
   Runtime& rt_;
   uint64_t timeout_ns_;

@@ -1,6 +1,6 @@
-// Epoch/group commit: the EpochManager protocol plus the Tx-side epoch
-// paths for both algorithms. See epoch.h for the batch/fence design and
-// docs/LOGGING.md for the ordering rules.
+// Epoch/group commit: the EpochManager queue, leadership and drain. The
+// seal batches themselves are Tx::seal (commit.cpp), shared with
+// per-transaction commit; docs/LOGGING.md has the ordering rules.
 #include "ptm/epoch.h"
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "ptm/containment.h"
 #include "ptm/runtime.h"
 #include "ptm/tx.h"
-#include "util/crc32.h"
 
 namespace ptm {
 
@@ -153,43 +152,19 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
     }
   };
 
+  // HB edge: join every member's publish before flushing on its behalf —
+  // the leader's clwbs/fences then durably retire the members' stores.
+  std::vector<Tx*> txs;
+  txs.reserve(batch.size());
+  for (Member* m : batch) {
+    if (rs != nullptr) rs->on_join(self, m);
+    txs.push_back(m->tx);
+  }
+
   try {
-    // Batch A — member payloads: every member's redo records + sealed
-    // header (lazy) or in-place dirty lines (eager), flushed through the
-    // LEADER's WPQ, then one fence for the whole epoch. Members only
-    // stored; the fence below is the first ordering point they share.
-    bool flushed = false;
-    for (Member* m : batch) {
-      guard();
-      // HB edge: join the member's publish before flushing on its behalf —
-      // the leader's clwbs/fence then durably retire the member's stores.
-      if (rs != nullptr) rs->on_join(self, m);
-      flushed |= m->tx->epoch_flush_payload(ctx, c);
-    }
-    if (flushed) mem.sfence(ctx, c);
-    for (Member* m : batch) m->tx->epoch_check_payload_persisted();
-
-    // Batch B — mirror commit marks (log_mirror only), in their own
-    // fence-delimited batch per the mirror commit rule: after the payload
-    // fence, before any primary seal, never sharing either batch.
-    bool mirrored = false;
-    for (Member* m : batch) {
-      guard();
-      mirrored |= m->tx->epoch_mirror_commit(ctx, c);
-    }
-    if (mirrored) {
-      mem.sfence(ctx, c);
-      for (Member* m : batch) m->tx->epoch_check_mirror_persisted();
-    }
-
-    // Batch C — primary COMMITTED statuses for every member, one fence.
-    for (Member* m : batch) {
-      guard();
-      m->tx->epoch_flip_status(ctx, c);
-    }
-    guard();
-    mem.sfence(ctx, c);
-    // ---- durable commit point for the whole epoch ----
+    // The A/B/C seal batches, once for the whole epoch, on the leader's
+    // WPQ. Durable commit point for the whole epoch on return.
+    Tx::seal(txs, ctx, c, guard);
   } catch (const nvm::FiberKill&) {
     // The leader died (or was deposed) mid-drain. Nothing was acked and
     // the batch stays staged in draining_; a successor steals the expired
@@ -285,128 +260,6 @@ stats::EpochStats EpochManager::snapshot() const {
   stats::EpochStats out = stats_;
   out.enabled = true;
   return out;
-}
-
-// ----- Tx epoch paths ----------------------------------------------------
-
-void Tx::epoch_lazy_publish(EpochManager& ep, uint64_t wv) {
-  nvm::Pool& pool = rt_->pool();
-  nvm::Memory& mem = pool.mem();
-
-  // Member-side seal: the same header fields the per-transaction path
-  // writes before its log fence — but stores only. Every flush and fence
-  // belongs to the epoch leader.
-  mem.store_word(*ctx_, c_, &slot_.header->log_count, n_log_, nvm::Space::kLog);
-  mem.store_word(*ctx_, c_, &slot_.header->algo, static_cast<uint64_t>(algo_),
-                 nvm::Space::kLog);
-  if (crc_logs_) {
-    uint32_t lc = 0;
-    for (size_t i = 0; i < n_log_; i++) {
-      const LogEntry* e = slot_.entry_at(i);
-      lc = util::crc32c_u64(e->val, util::crc32c_u64(e->off, lc));
-    }
-    mem.store_word(*ctx_, c_, &slot_.header->pad[SlotLayout::kLogCrcPad], lc,
-                   nvm::Space::kLog);
-  }
-  if (slot_.mirrored) seal_primary_header_crc(pool, *ctx_, c_, slot_);
-
-  // Publish and wait; on return this transaction is durably COMMITTED.
-  ep.commit(*this);
-  committed_hint_ = true;  // reclamation must now roll FORWARD
-
-  // Ordering point (write-back rule), unchanged from per-tx commit: home
-  // stores must not start until the commit record is durable.
-  psan_check_header_persisted(analysis::DiagKind::kMisorderedPersist,
-                              "write-back ahead of the sealed commit record");
-
-  if (n_log_ > 0) {
-    stats::PhaseTimer ft(*ctx_, &c_->phases, stats::Phase::kFlushDrain);
-    analysis::PhaseScope ps(psan_, worker_, stats::Phase::kFlushDrain);
-    for (size_t i = 0; i < n_log_; i++) {
-      const LogEntry* e = slot_.entry_at(i);
-      auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(e->off)));
-      mem.store_word(*ctx_, c_, home, e->val, nvm::Space::kData);
-      dirty_.add(mem.line_of(home));
-    }
-    for (const uint64_t line : dirty_.lines()) {
-      mem.clwb(*ctx_, c_, pool.base() + line * nvm::Memory::kLineBytes);
-    }
-    mem.sfence(*ctx_, c_);
-  }
-
-  apply_frees();
-  retire_logs();
-  release_owned(OrecTable::version_word(wv));
-}
-
-void Tx::epoch_eager_publish(EpochManager& ep, uint64_t wv) {
-  // Undo logging already persisted every record and the ACTIVE header at
-  // write time; what the per-tx commit still pays — the dirty-line flush,
-  // the mirror mark, the status flip, each with its own fence — is exactly
-  // what the epoch batches. Nothing to seal member-side.
-  ep.commit(*this);
-  committed_hint_ = true;  // reclamation must now roll FORWARD
-
-  apply_frees();
-  retire_logs();
-  release_owned(OrecTable::version_word(wv));
-}
-
-bool Tx::epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c) {
-  nvm::Pool& pool = rt_->pool();
-  nvm::Memory& mem = pool.mem();
-  if (algo_ == Algo::kOrecLazy) {
-    persist_log_range_via(ctx, c, 0, n_log_);
-    mem.clwb(ctx, c, slot_.header);
-    return true;
-  }
-  // Eager: records and header are durable already; only the in-place data
-  // lines still need the flush the per-tx commit would have issued.
-  for (const uint64_t line : dirty_.lines()) {
-    mem.clwb(ctx, c, pool.base() + line * nvm::Memory::kLineBytes);
-  }
-  return !dirty_.lines().empty();
-}
-
-void Tx::epoch_check_payload_persisted() {
-  if (algo_ == Algo::kOrecLazy) {
-    psan_check_log_persisted(0, n_log_, analysis::DiagKind::kMissingFlush,
-                             "redo record unpersisted at epoch commit seal");
-  } else {
-    psan_check_dirty_persisted(analysis::DiagKind::kMissingFlush,
-                               "in-place write unpersisted at epoch commit seal");
-  }
-  psan_check_header_persisted(analysis::DiagKind::kMissingFlush,
-                              "slot header unpersisted at epoch commit seal");
-}
-
-bool Tx::epoch_mirror_commit(sim::ExecContext& ctx, stats::TxCounters* c) {
-  if (!slot_.mirrored) return false;
-  seal_and_mirror_header(rt_->pool(), ctx, c, slot_,
-                         TxSlotHeader::make(epoch_, TxSlotHeader::kCommitted));
-  return true;
-}
-
-void Tx::epoch_check_mirror_persisted() {
-  if (!slot_.mirrored) return;
-  if (algo_ == Algo::kOrecLazy) {
-    psan_check_mirror_log_persisted(0, n_log_, analysis::DiagKind::kMissingFlush,
-                                    "mirror redo record unpersisted at epoch commit seal");
-  }
-  psan_check_mirror_header_persisted(analysis::DiagKind::kMissingFlush,
-                                     "mirror header unpersisted at epoch commit seal");
-}
-
-void Tx::epoch_flip_status(sim::ExecContext& ctx, stats::TxCounters* c) {
-  nvm::Memory& mem = rt_->pool().mem();
-  // The mirror already carries its durable COMMITTED image (batch B), so
-  // unlike set_status only the primary moves here; the epoch fence after
-  // this batch is what makes the flip durable.
-  mem.store_word(ctx, c, &slot_.header->status,
-                 TxSlotHeader::make(epoch_, TxSlotHeader::kCommitted),
-                 nvm::Space::kLog);
-  if (slot_.mirrored) seal_primary_header_crc(rt_->pool(), ctx, c, slot_);
-  mem.clwb(ctx, c, slot_.header);
 }
 
 }  // namespace ptm

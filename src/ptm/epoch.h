@@ -1,22 +1,17 @@
 // Group/epoch commit (SystemConfig::epoch_commit): amortize the per-
 // transaction persistence ordering points across a batch of committers.
 //
-// Per-transaction commit pays its fences alone — redo: log-seal fence,
-// (mirror fence,) status fence; undo: the commit-time dirty-flush and
-// status fences — which the paper identifies as the dominant persistence
-// cost on Optane under ADR. In epoch mode a committing worker instead
-// *publishes* its sealed-but-unmarked log to a per-runtime queue and
-// waits; a leader elected among the waiters drains the queue and persists
-// every member's payload under shared fence batches:
-//
-//   A. flush every member's log records + slot header (redo) or dirty
-//      data lines (undo), then ONE sfence for the whole batch;
-//   B. (log_mirror only) store + flush every member's mirror COMMITTED
-//      header, then ONE sfence — the replica commit marks keep their own
-//      fence-delimited batch, after the payload fence and before the
-//      primary seals, exactly as in per-transaction mode;
-//   C. store + flush every member's primary COMMITTED status, then ONE
-//      sfence. Durable commit point for the whole epoch.
+// Every commit is sealed by the same three fence-delimited batches
+// (Tx::seal, commit.cpp): A. flush the payload — redo records + header, or
+// undo dirty lines — then ONE sfence; B. (log_mirror only) the mirror
+// COMMITTED headers, ONE sfence; C. the primary COMMITTED statuses, ONE
+// sfence, the durable commit point. Per-transaction commit runs them on
+// the committer's own context as an epoch of one, paying every fence
+// alone — the dominant persistence cost on Optane under ADR, per the
+// paper. In epoch mode a committing worker instead *publishes* its
+// sealed-but-unmarked log to a per-runtime queue and waits; a leader
+// elected among the waiters drains the queue and runs the three batches
+// once for every member, so each fence is shared by the whole epoch.
 //
 // Durability acks are delivered on epoch close: commit() still only
 // returns once the caller's transaction is durably marked, so the API
@@ -66,8 +61,9 @@ class EpochManager {
   /// Commit `tx` through the epoch machinery: publish the sealed slot,
   /// wait (or lead) until the epoch containing it closes durably. On
   /// return the transaction's COMMITTED status is durable; the caller
-  /// still owns write-back/retire/unlock. Throws nvm::CrashPoint when a
-  /// crash froze the pool before this member's epoch could close.
+  /// still owns the post-commit tail (Tx::commit_writes). Throws
+  /// nvm::CrashPoint when a crash froze the pool before this member's
+  /// epoch could close.
   void commit(Tx& tx);
 
   /// Drop all volatile epoch state (queue, staged drain batch, leadership,

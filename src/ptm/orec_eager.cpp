@@ -95,8 +95,8 @@ void Tx::eager_write(uint64_t* waddr, uint64_t val) {
     // Mirror header joins the same per-write batch (mirror record was
     // written by append_log); one fence still covers everything.
     sync_mirror_header();
-    persist_log_range(entry_idx, 1);
-    persist_slot_header();
+    persist_log_range(*ctx_, c_, entry_idx, 1);
+    mem.clwb(*ctx_, c_, slot_.header);
     mem.sfence(*ctx_, c_);
   }
 
@@ -121,107 +121,25 @@ void Tx::eager_write(uint64_t* waddr, uint64_t val) {
 }
 
 void Tx::eager_commit() {
-  nvm::Pool& pool = rt_->pool();
-  nvm::Memory& mem = pool.mem();
-  const nvm::CostModel& cm = pool.config().cost;
-  ctx_->advance(static_cast<uint64_t>(cm.tx_commit_ns));
-
+  ctx_->advance(static_cast<uint64_t>(rt_->pool().config().cost.tx_commit_ns));
   if (owned_.empty() && tx_frees_.empty() && n_alloc_log_ == 0) {
     return;  // read-only
   }
-
-  const uint64_t wv = rt_->orecs().tick();
-  commit_ticket_ = wv;
-  if (wv != start_time_ + 1) {
-    stats::PhaseTimer vt(*ctx_, &c_->phases, stats::Phase::kValidate);
-    if (!validate_read_set()) abort_tx(stats::AbortCause::kValidation);
-  }
-
-  // Epoch mode: the undo records and ACTIVE header are durable already
-  // (per-write persists); the commit-time fences — dirty flush, mirror
-  // mark, status flip — move to the group-commit leader. See epoch.h.
-  if (EpochManager* ep = rt_->epochs()) {
-    epoch_eager_publish(*ep, wv);
-    return;
-  }
-
-  {
-    stats::PhaseTimer ft(*ctx_, &c_->phases, stats::Phase::kFlushDrain);
-    analysis::PhaseScope ps(psan_, worker_, stats::Phase::kFlushDrain);
-    // Persist the in-place writes, then the commit record. Alloc-only /
-    // free-only transactions have no in-place writes and skip the batch
-    // entirely — flushing nothing and fencing nothing (psan's
-    // redundant-fence lint flagged the unconditional sfence here).
-    const bool fence_batch = !dirty_.lines().empty();
-    if (fence_batch) {
-      for (const uint64_t line : dirty_.lines()) {
-        mem.clwb(*ctx_, c_, pool.base() + line * nvm::Memory::kLineBytes);
-      }
-      mem.sfence(*ctx_, c_);
-    }
-    // Ordering point (commit seal): every in-place write and the slot
-    // header must be durable before the COMMITTED record — recovery must
-    // never see a commit record whose effects it cannot reproduce.
-    psan_check_dirty_persisted(analysis::DiagKind::kMissingFlush,
-                               "in-place write unpersisted at commit-record seal");
-    psan_check_header_persisted(analysis::DiagKind::kMissingFlush,
-                                "slot header unpersisted at commit-record seal");
-    if (slot_.mirrored) {
-      // Mirror commit record ahead of the primary seal, in its own
-      // fence-delimited batch. The mirror's COMMITTED image is a durable
-      // commit mark in its own right (recovery trusts it when the primary
-      // header is damaged), so it must not be *flushable* before the
-      // in-place writes' fence above — a spontaneous writeback could
-      // otherwise publish the commit over data that never persisted. The
-      // fence below then makes the replica durable before the primary seal.
-      seal_and_mirror_header(pool, *ctx_, c_, slot_,
-                             TxSlotHeader::make(epoch_, TxSlotHeader::kCommitted));
-      seal_primary_header_crc(pool, *ctx_, c_, slot_);
-      persist_slot_header();
-      mem.sfence(*ctx_, c_);
-      // Ordering point (mirror rule): the replica header must be durable
-      // before the primary commit seal counts as committed.
-      psan_check_mirror_header_persisted(analysis::DiagKind::kMissingFlush,
-                                         "mirror header unpersisted at commit-record seal");
-    }
-    set_status(TxSlotHeader::kCommitted, /*fence=*/true);
-  }
-  // ---- durable commit point ----
-  committed_hint_ = true;  // reclamation must now roll FORWARD
-
-  apply_frees();
-
-  // Retire the undo log durably before unlocking (recovery must never roll
-  // back a committed transaction).
-  retire_logs();
-  release_owned(OrecTable::version_word(wv));
+  // The undo records and the ACTIVE header are durable already (one fence
+  // per write); the commit seals the in-place data and the status.
+  commit_writes();
 }
 
 void Tx::eager_rollback() {
+  // Restore old values newest first, persist them, and make the dead log
+  // durable before the locks go back to their pre-lock versions (the data
+  // is unchanged).
   nvm::Pool& pool = rt_->pool();
-  nvm::Memory& mem = pool.mem();
-
-  // Restore old values in reverse order (later entries may shadow earlier
-  // writes to the same word).
-  for (size_t i = n_log_; i-- > 0;) {
-    const LogEntry* e = slot_.entry_at(i);
-    auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(e->off)));
-    mem.store_word(*ctx_, c_, home, e->val, nvm::Space::kData);
-  }
-  for (const uint64_t line : dirty_.lines()) {
-    mem.clwb(*ctx_, c_, pool.base() + line * nvm::Memory::kLineBytes);
-  }
-  mem.sfence(*ctx_, c_);
-
-  // The log is dead; make that durable before the locks go.
+  apply_records(pool, *ctx_, c_, slot_, n_log_, /*newest_first=*/true, dirty_);
+  flush_lines(pool, *ctx_, c_, dirty_);
+  pool.mem().sfence(*ctx_, c_);
   retire_logs();
-
-  // Release to the pre-lock versions: the data is unchanged.
-  for (const OwnedOrec& o : owned_) {
-    if (rsan_) rsan_->on_orec_release(worker_, o.orec);
-    o.orec->store(o.old_word, std::memory_order_release);
-  }
-  owned_.clear();
+  restore_owned();
 }
 
 }  // namespace ptm

@@ -37,7 +37,6 @@
 
 #include "analysis/rsan.h"
 #include "ptm/runtime.h"
-#include "util/crc32.h"
 
 namespace ptm {
 namespace {
@@ -199,8 +198,9 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
         return Verdict::kOk;
       };
 
-      // Validate one write-log record; returns nullptr when it must not be
-      // applied. A primary that fails any non-stale screen falls back to
+      // Validate one write-log record for apply_records: a record it
+      // returns is applied (and counted replayed), nullptr means it must
+      // not be. A primary that fails any non-stale screen falls back to
       // its mirror copy: an intact mirror both supplies the record and is
       // copied over the primary (durably, then the media fault is
       // retired), so the next recovery sees a healthy primary.
@@ -213,7 +213,10 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
       auto screen_entry = [&](uint64_t i, bool committed) -> const LogEntry* {
         LogEntry* e = slot.entry_at(i);
         const Verdict pv = classify(e);
-        if (pv == Verdict::kOk) return e;
+        if (pv == Verdict::kOk) {
+          rep.records_replayed++;
+          return e;
+        }
         if (pv == Verdict::kStale) {
           rep.records_stale++;  // ordinary partial-persistence debris
           return nullptr;
@@ -231,6 +234,7 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
             mem.sfence(ctx, c);
             if (pv == Verdict::kMedia) repaired_lines.push_back(mem.line_of(e));
             rep.records_repaired++;
+            rep.records_replayed++;
             return e;
           }
         }
@@ -314,14 +318,10 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
         rep.slots_committed++;
         if (algo == Algo::kOrecLazy) {
           // Replay the redo log forward; write-back may have been partial.
-          for (uint64_t i = 0; i < n_log; i++) {
-            const LogEntry* e = screen_entry(i, /*committed=*/true);
-            if (e == nullptr) continue;
-            auto* home = static_cast<uint64_t*>(pool_.at(LogEntry::offset_of(e->off)));
-            mem.store_word(ctx, c, home, e->val, nvm::Space::kData);
-            mem.clwb(ctx, c, home);
-            rep.records_replayed++;
-          }
+          DirtyLines homes;
+          apply_records(pool_, ctx, c, slot, n_log, /*newest_first=*/false, homes,
+                        [&](size_t i) { return screen_entry(i, /*committed=*/true); });
+          flush_lines(pool_, ctx, c, homes);
           mem.sfence(ctx, c);
           if (checked && n_log > 0) {
             // Cross-check the whole committed record set against the
@@ -332,12 +332,8 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
             // truncated chain): per-record screening still replayed every
             // provably-good record, but the damage is reported rather
             // than silently absorbed.
-            uint32_t lc = 0;
-            for (uint64_t i = 0; i < n_log; i++) {
-              const LogEntry* e = slot.entry_at(i);
-              lc = util::crc32c_u64(e->val, util::crc32c_u64(e->off, lc));
-            }
-            if (lc != static_cast<uint32_t>(slot.header->pad[SlotLayout::kLogCrcPad])) {
+            if (log_crc(slot, n_log) !=
+                static_cast<uint32_t>(slot.header->pad[SlotLayout::kLogCrcPad])) {
               rep.log_crc_mismatches++;
             }
           }
@@ -363,14 +359,10 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
           // its crc was never fence-ordered before the crash — which also
           // means its in-place store never executed, so *skipping* it is
           // the correct rollback, not a loss.
-          for (uint64_t i = n_log; i-- > 0;) {
-            const LogEntry* e = screen_entry(i, /*committed=*/false);
-            if (e == nullptr) continue;
-            auto* home = static_cast<uint64_t*>(pool_.at(LogEntry::offset_of(e->off)));
-            mem.store_word(ctx, c, home, e->val, nvm::Space::kData);
-            mem.clwb(ctx, c, home);
-            rep.records_replayed++;
-          }
+          DirtyLines homes;
+          apply_records(pool_, ctx, c, slot, n_log, /*newest_first=*/true, homes,
+                        [&](size_t i) { return screen_entry(i, /*committed=*/false); });
+          flush_lines(pool_, ctx, c, homes);
           mem.sfence(ctx, c);
         }
         // Cancel speculative allocations (idempotent membership check).
@@ -394,26 +386,10 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
     for (const uint64_t line : repaired_lines) mem.repair_media_fault(line);
     if (slot_lost) degraded_.lost_txs++;
 
-    // Quiesce the slot for the next epoch (skipping tag 0 — reserved for
-    // zeroed log memory — with a durable full-log wipe at the wrap, same
-    // rule as Tx::retire_logs).
-    const uint64_t epoch = TxSlotHeader::epoch_of(slot.header->status);
-    uint64_t next_epoch = epoch + 1;
-    if ((next_epoch & LogEntry::kTagMask) == 0) {
-      zero_slot_logs(pool_, ctx, c, slot);
-      next_epoch++;
-    }
-    mem.store_word(ctx, c, &slot.header->log_count, 0, nvm::Space::kLog);
-    mem.store_word(ctx, c, &slot.header->alloc_count, 0, nvm::Space::kLog);
-    mem.store_word(ctx, c, &slot.header->status,
-                   TxSlotHeader::make(next_epoch, TxSlotHeader::kIdle), nvm::Space::kLog);
-    // Reseal both copies over the quiesced image so the next recovery's
-    // header CRC screen passes.
-    seal_and_mirror_header(pool_, ctx, c, slot,
-                           TxSlotHeader::make(next_epoch, TxSlotHeader::kIdle));
-    seal_primary_header_crc(pool_, ctx, c, slot);
-    mem.clwb(ctx, c, slot.header);
-    mem.sfence(ctx, c);
+    // Quiesce the slot for the next epoch, resealing both copies so the
+    // next recovery's header CRC screen passes (same retire as a commit).
+    const uint64_t next_epoch =
+        retire_slot(pool_, ctx, c, slot, TxSlotHeader::epoch_of(slot.header->status) + 1);
 
     // Refresh the live descriptor: epoch cache, counts, and the DRAM view
     // of the segment chain (the crash may have torn a chain-link install

@@ -178,4 +178,62 @@ void zero_slot_logs(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c
   mem.sfence(ctx, c);
 }
 
+uint32_t log_crc(SlotLayout& slot, size_t n) {
+  uint32_t lc = 0;
+  for (size_t i = 0; i < n; i++) {
+    const LogEntry* e = slot.entry_at(i);
+    lc = util::crc32c_u64(e->val, util::crc32c_u64(e->off, lc));
+  }
+  return lc;
+}
+
+void apply_records(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                   SlotLayout& slot, size_t n, bool newest_first, DirtyLines& dirty,
+                   const std::function<const LogEntry*(size_t)>& pick) {
+  nvm::Memory& mem = pool.mem();
+  for (size_t k = 0; k < n; k++) {
+    const size_t i = newest_first ? n - 1 - k : k;
+    const LogEntry* e = pick ? pick(i) : slot.entry_at(i);
+    if (e == nullptr) continue;
+    auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(e->off)));
+    mem.store_word(ctx, c, home, e->val, nvm::Space::kData);
+    dirty.add(mem.line_of(home));
+  }
+}
+
+bool flush_lines(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                 const DirtyLines& lines) {
+  for (const uint64_t line : lines.lines()) {
+    pool.mem().clwb(ctx, c, pool.base() + line * nvm::Memory::kLineBytes);
+  }
+  return !lines.lines().empty();
+}
+
+uint64_t retire_slot(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                     SlotLayout& slot, uint64_t epoch) {
+  nvm::Memory& mem = pool.mem();
+  // All header fields share one cache line, so the counts and the IDLE
+  // status persist together under the flush + fence below.
+  mem.store_word(ctx, c, &slot.header->log_count, 0, nvm::Space::kLog);
+  mem.store_word(ctx, c, &slot.header->alloc_count, 0, nvm::Space::kLog);
+  if ((epoch & LogEntry::kTagMask) == 0) {
+    // The 24-bit epoch tag wrapped: records written 2^24 epochs ago would
+    // now tag-match again. Durably erase every leftover record before
+    // entering the reused tag space, then skip tag 0 (reserved for zeroed
+    // memory). Crash-safe at any point: the quiesce only zeroes retired
+    // records, and until the status below persists the slot still shows
+    // the pre-wrap epoch, for which zeroed logs are a valid (empty) state.
+    zero_slot_logs(pool, ctx, c, slot);
+    epoch++;
+  }
+  const uint64_t word = TxSlotHeader::make(epoch, TxSlotHeader::kIdle);
+  // Replica first (program order): the mirror is never behind the primary.
+  seal_and_mirror_header(pool, ctx, c, slot, word);
+  mem.store_word(ctx, c, &slot.header->status, word, nvm::Space::kLog);
+  seal_primary_header_crc(pool, ctx, c, slot);
+  mem.clwb(ctx, c, slot.header);
+  mem.sfence(ctx, c);
+  return epoch;
+}
+
 }  // namespace ptm

@@ -21,8 +21,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <utility>
 #include <vector>
+
+#include "ptm/undo_log.h"
 
 namespace nvm {
 class Pool;
@@ -52,7 +55,7 @@ namespace ptm {
 /// so a zero-filled record — fresh pool memory, a freshly bump-allocated
 /// overflow segment, or a wrap-quiesced slot — can never alias a live
 /// record. The wrap itself (2^24 epochs) is handled by a durable full-slot
-/// quiesce; see Tx::retire_logs and docs/LOGGING.md.
+/// quiesce; see ptm::retire_slot and docs/LOGGING.md.
 ///
 /// Bits 39..32 of `off` hold a per-record checksum: the low 8 bits of the
 /// CRC32C of the record's 16 bytes (with the crc field itself zeroed).
@@ -320,6 +323,36 @@ void seal_primary_header_crc(nvm::Pool& pool, sim::ExecContext& ctx,
 /// status/count update; this only zeroes + flushes + fences the arrays.
 void zero_slot_logs(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
                     SlotLayout& slot);
+
+/// Whole-log CRC32C over records [0, n): chained over every record's
+/// (off, val) pair. The lazy commit seals it into pad[kLogCrcPad] on
+/// crash-sim configurations; recovery cross-checks a committed slot
+/// against it.
+uint32_t log_crc(SlotLayout& slot, size_t n);
+
+/// Store log records [0, n) of `slot` to their home words, issued through
+/// (ctx, c), adding each home line to `dirty`: oldest first for a redo
+/// write-back, newest first for an undo (later records may shadow earlier
+/// ones to the same word). `pick(i)` returns the copy of record i to apply
+/// or nullptr to skip it (recovery's screen); without it every record
+/// applies as stored. The caller flushes `dirty` (flush_lines) and fences.
+void apply_records(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                   SlotLayout& slot, size_t n, bool newest_first, DirtyLines& dirty,
+                   const std::function<const LogEntry*(size_t)>& pick = {});
+
+/// clwb every line of `lines` through (ctx, c); returns whether there was
+/// any.
+bool flush_lines(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                 const DirtyLines& lines);
+
+/// Durably retire `slot` to IDLE for `epoch`, issued through (ctx, c):
+/// zero both counts, wipe the logs and step past `epoch` when it lands on
+/// the reserved tag 0 (see LogEntry), write the sealed status mirror-first,
+/// then flush the header line and fence. Returns the epoch the slot now
+/// shows. The one retire shared by commit, rollback, on-behalf reclamation
+/// and recovery's quiesce.
+uint64_t retire_slot(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                     SlotLayout& slot, uint64_t epoch);
 
 /// DRAM-resident open-addressing map: word pool-offset -> log index.
 /// Generation-stamped so clearing between transactions is O(1). Write sets

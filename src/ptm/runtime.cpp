@@ -69,16 +69,7 @@ uint64_t Runtime::debug_epoch(int worker) const {
 
 void Runtime::debug_set_epoch(sim::ExecContext& ctx, int worker, uint64_t epoch) {
   Tx& tx = *txs_[static_cast<size_t>(worker)];
-  tx.epoch_ = epoch;
-  nvm::Memory& mem = pool_.mem();
-  mem.store_word(ctx, nullptr, &tx.slot_.header->status,
-                 TxSlotHeader::make(epoch, TxSlotHeader::kIdle), nvm::Space::kLog);
-  // Keep the replica header and both CRC seals in step (no-ops unmirrored).
-  seal_and_mirror_header(pool_, ctx, nullptr, tx.slot_,
-                         TxSlotHeader::make(epoch, TxSlotHeader::kIdle));
-  seal_primary_header_crc(pool_, ctx, nullptr, tx.slot_);
-  mem.clwb(ctx, nullptr, tx.slot_.header);
-  mem.sfence(ctx, nullptr);
+  tx.epoch_ = retire_slot(pool_, ctx, nullptr, tx.slot_, epoch);
 }
 
 }  // namespace ptm

@@ -150,7 +150,7 @@ void Tx::handle_abort() {
   if (algo_ == Algo::kOrecEager) {
     eager_rollback();
   } else {
-    lazy_abort_cleanup();
+    restore_owned();  // redo: home locations untouched, the log is discarded
   }
   cancel_allocs();
   if (psan_) psan_->on_tx_end(worker_);
@@ -359,23 +359,14 @@ void Tx::append_log(uint64_t off, uint64_t val) {
   c_->log_bytes += sizeof(LogEntry);
 }
 
-void Tx::persist_slot_header() {
-  nvm::Memory& mem = rt_->pool().mem();
-  mem.clwb(*ctx_, c_, slot_.header);
-}
-
-void Tx::persist_log_range(size_t first_entry, size_t n_entries) {
-  persist_log_range_via(*ctx_, c_, first_entry, n_entries);
-}
-
-void Tx::persist_log_range_via(sim::ExecContext& ctx, stats::TxCounters* c,
-                               size_t first_entry, size_t n_entries) {
+void Tx::persist_log_range(sim::ExecContext& ctx, stats::TxCounters* c,
+                           size_t first_entry, size_t n_entries) {
   nvm::Memory& mem = rt_->pool().mem();
   // The linear record range may span the base log and several overflow
   // segments; flush each contiguous run separately. Mirror lines join the
   // same batch so the caller's fence makes both copies durable together.
   // Parameterized on the issuing context: the epoch leader flushes member
-  // logs through its own WPQ (epoch.cpp).
+  // logs through its own WPQ (Tx::seal).
   auto flush_runs = [&](bool mirror) {
     size_t first = first_entry;
     size_t left = n_entries;
@@ -406,6 +397,14 @@ void Tx::release_owned(uint64_t version_word) {
   owned_.clear();
 }
 
+void Tx::restore_owned() {
+  for (const OwnedOrec& o : owned_) {
+    if (rsan_) rsan_->on_orec_release(worker_, o.orec);
+    o.orec->store(o.old_word, std::memory_order_release);
+  }
+  owned_.clear();
+}
+
 void Tx::cancel_allocs() {
   for (void* p : tx_allocs_) {
     rt_->allocator().free_block(*ctx_, c_, p);
@@ -430,20 +429,6 @@ void Tx::apply_frees() {
   tx_allocs_.clear();
 }
 
-void Tx::set_status(uint64_t state, bool fence) {
-  nvm::Memory& mem = rt_->pool().mem();
-  const uint64_t word = TxSlotHeader::make(epoch_, state);
-  // Replica first (program order): the mirror header carries the new state
-  // and its seal before the primary's status word changes, so at every
-  // instant — and in particular at the commit seal — the mirror is at
-  // least as new as the primary.
-  if (slot_.mirrored) seal_and_mirror_header(rt_->pool(), *ctx_, c_, slot_, word);
-  mem.store_word(*ctx_, c_, &slot_.header->status, word, nvm::Space::kLog);
-  if (slot_.mirrored) seal_primary_header_crc(rt_->pool(), *ctx_, c_, slot_);
-  mem.clwb(*ctx_, c_, slot_.header);
-  if (fence) mem.sfence(*ctx_, c_);
-}
-
 void Tx::retire_logs() {
   // Ordering point: retiring the log (IDLE) forfeits the ability to redo/
   // undo, so every data line this transaction touched must already be
@@ -451,24 +436,8 @@ void Tx::retire_logs() {
   // log left to recover it from.
   psan_check_dirty_persisted(analysis::DiagKind::kMissingFlush,
                              "data must be durable before the log retires to IDLE");
-  // All header fields share one cache line, so the counts and the IDLE
-  // status persist together under set_status's flush+fence.
-  nvm::Memory& mem = rt_->pool().mem();
-  mem.store_word(*ctx_, c_, &slot_.header->log_count, 0, nvm::Space::kLog);
-  mem.store_word(*ctx_, c_, &slot_.header->alloc_count, 0, nvm::Space::kLog);
   n_alloc_log_ = 0;
-  epoch_++;
-  if ((epoch_ & LogEntry::kTagMask) == 0) {
-    // The 24-bit epoch tag wrapped: records written 2^24 epochs ago would
-    // now tag-match again. Durably erase every leftover record before
-    // entering the reused tag space, then skip tag 0 (reserved for zeroed
-    // memory). Crash-safe at any point: the quiesce only zeroes retired
-    // records, and until the status below persists the slot still shows
-    // the pre-wrap epoch, for which zeroed logs are a valid (empty) state.
-    zero_slot_logs(rt_->pool(), *ctx_, c_, slot_);
-    epoch_++;
-  }
-  set_status(TxSlotHeader::kIdle, /*fence=*/true);
+  epoch_ = retire_slot(rt_->pool(), *ctx_, c_, slot_, epoch_ + 1);
 }
 
 bool Tx::validate_read_set() const {

@@ -19,6 +19,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -181,7 +183,6 @@ class Tx {
   uint64_t lazy_read(const uint64_t* waddr);
   void lazy_write(uint64_t* waddr, uint64_t val);
   void lazy_commit();
-  void lazy_abort_cleanup();
 
   // orec-eager implementation (orec_eager.cpp)
   uint64_t eager_read(const uint64_t* waddr);
@@ -189,32 +190,49 @@ class Tx {
   void eager_commit();
   void eager_rollback();
 
-  // epoch/group-commit paths (epoch.cpp). The *_publish methods replace
-  // the per-tx fence sequence on the member's side (seal with stores only,
-  // publish, wait for the durable epoch ack, then write-back/retire). The
-  // leader-side helpers run on a *member* transaction from the epoch
-  // leader's fiber, so they take the leader's context/counters — flush and
-  // fence cost must accrue to the leader's WPQ, never to the parked
-  // member's clock.
-  void epoch_lazy_publish(EpochManager& ep, uint64_t wv);
-  void epoch_eager_publish(EpochManager& ep, uint64_t wv);
-  bool epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c);
-  void epoch_check_payload_persisted();
-  bool epoch_mirror_commit(sim::ExecContext& ctx, stats::TxCounters* c);
-  void epoch_check_mirror_persisted();
-  void epoch_flip_status(sim::ExecContext& ctx, stats::TxCounters* c);
+  // The commit protocol (commit.cpp; docs/LOGGING.md, "Commit ordering").
+
+  /// Everything after the write set's orecs are held, for both
+  /// algorithms: take the commit timestamp, validate, seal (an epoch of
+  /// one on this context, or through the epoch leader), then the shared
+  /// tail — redo write-back, deferred frees, retire, orec release.
+  void commit_writes();
+
+  /// The commit seal over `txs`, every flush and fence issued through
+  /// (ctx, c): A. flush each payload, one fence; B. each mirror commit
+  /// mark, one fence (mirrored slots only); C. flip each status to
+  /// COMMITTED, one fence — the durable commit point. A committer seals
+  /// itself as an epoch of one; an epoch leader seals every member, so the
+  /// cost accrues to the leader's WPQ, never to a parked member's clock.
+  /// `guard` runs before each member's step in every batch and before the
+  /// last fence.
+  static void seal(std::span<Tx* const> txs, sim::ExecContext& ctx,
+                   stats::TxCounters* c, const std::function<void()>& guard);
+
+  // Per-member seal steps, run from the issuing context: batch A (the
+  // payload, then its psan check), batch B (the mirror mark, then its
+  // check), batch C (the status). seal_header is the member's own
+  // stores-only part (redo: counts, algo, CRCs), issued before the batches.
+  void seal_header();
+  bool seal_payload(sim::ExecContext& ctx, stats::TxCounters* c);
+  void check_payload_persisted();
+  bool seal_mirror_mark(sim::ExecContext& ctx, stats::TxCounters* c);
+  void check_mirror_persisted();
+  void seal_status(sim::ExecContext& ctx, stats::TxCounters* c);
+
+  /// Redo write-back after the commit seal (`timed`: its own flush-drain
+  /// window, as in epoch mode).
+  void write_back(bool timed);
 
   // shared helpers (tx.cpp)
   void append_log(uint64_t off, uint64_t val);
   void append_alloc_word(uint64_t* entry, uint64_t word);
-  void persist_slot_header();
-  void persist_log_range(size_t first_entry, size_t n_entries);
-  void persist_log_range_via(sim::ExecContext& ctx, stats::TxCounters* c,
-                             size_t first_entry, size_t n_entries);
+  void persist_log_range(sim::ExecContext& ctx, stats::TxCounters* c,
+                         size_t first_entry, size_t n_entries);
   void release_owned(uint64_t version_word);
+  void restore_owned();  // abort: every acquired orec back to its pre-lock word
   void cancel_allocs();
   void apply_frees();
-  void set_status(uint64_t state, bool fence);
   void retire_logs();  // durably clear counts + set IDLE for the next epoch
   bool validate_read_set() const;
   void update_log_hwm();

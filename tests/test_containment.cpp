@@ -126,8 +126,8 @@ uint64_t contended_round(fault::CrashHarness& h, int txs, uint64_t wl_seed,
 // Count the persistence events one clean round consumes, so kill sweeps
 // and kill-event searches stay inside the run.
 uint64_t dry_run_events(bool psan, bool epoch, int txs, uint64_t wl_seed,
-                        bool disjoint) {
-  fault::CrashHarness h(contain_cfg(psan, epoch), ptm::Algo::kOrecLazy);
+                        bool disjoint, ptm::Algo algo = ptm::Algo::kOrecLazy) {
+  fault::CrashHarness h(contain_cfg(psan, epoch), algo);
   sim::RealContext ctx(0, h.pool.config().max_workers);
   populate(h, ctx);
   h.seal_initial_state();
@@ -393,42 +393,52 @@ TEST(Containment, WatchdogReclaimsUnconflictedVictim) {
 // ----- epoch leader takeover ---------------------------------------------
 
 // With epoch commit on, killing the drain leader mid-epoch must let a
-// surviving member steal the expired leadership lease and complete the
-// drain (leader_takeovers >= 1 across the searched kill events), with
-// every trial passing both oracles.
+// surviving member (or the watchdog, through help_close) steal the expired
+// leadership lease and re-run the staged batch from batch A. Every kill
+// event, both algorithms, psan on: each trial must pass both oracles and
+// every ordering check. A leader killed in batch C has already stored its
+// own member's COMMITTED status; that store is batch C's to persist, so
+// the re-run's batch A check must not claim it.
 TEST(Containment, EpochLeaderTakeover) {
-  constexpr int kTxs = 4;
-  const uint64_t total = dry_run_events(false, true, kTxs, 9, true);
-  ASSERT_GT(total, 8u);
+  constexpr int kTxs = 1;
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    const uint64_t total = dry_run_events(true, true, kTxs, 9, true, algo);
+    ASSERT_GT(total, 8u);
 
-  uint64_t takeovers = 0;
-  for (uint64_t ev = 1; ev <= total && takeovers == 0; ev++) {
-    fault::CrashHarness h(contain_cfg(/*psan=*/false, /*epoch=*/true),
-                          ptm::Algo::kOrecLazy);
-    ASSERT_NE(h.rt.epochs(), nullptr);
-    sim::RealContext ctx(0, h.pool.config().max_workers);
-    populate(h, ctx);
-    h.seal_initial_state();
-    h.pool.mem().arm_thread_fault(ev);
-    int kills = 0;
-    uint64_t sim_end = 0;
-    const bool crashed = h.run_until_crash(~0ull, ev, [&] {
-      sim_end = contended_round(h, kTxs, 9, /*disjoint=*/true, &kills);
-    });
-    ASSERT_FALSE(crashed);
-    h.pool.mem().clear_thread_faults();
-    if (kills == 0) continue;
+    uint64_t takeovers = 0;
+    for (uint64_t ev = 1; ev <= total; ev++) {
+      fault::CrashHarness h(contain_cfg(/*psan=*/true, /*epoch=*/true), algo);
+      ASSERT_NE(h.rt.epochs(), nullptr);
+      sim::RealContext ctx(0, h.pool.config().max_workers);
+      populate(h, ctx);
+      h.seal_initial_state();
+      h.pool.mem().arm_thread_fault(ev);
+      int kills = 0;
+      uint64_t sim_end = 0;
+      const bool crashed = h.run_until_crash(~0ull, ev, [&] {
+        sim_end = contended_round(h, kTxs, 9, /*disjoint=*/true, &kills);
+      });
+      ASSERT_FALSE(crashed);
+      h.pool.mem().clear_thread_faults();
+      if (kills == 0) continue;
 
-    sweep_and_verify_online(h, sim_end);
-    takeovers += h.rt.containment()->snapshot().leader_takeovers;
-    h.rt.containment()->revive_all();
-    h.power_fail_and_recover(ctx, ev);
-    test::expect_clean_recovery(h.report);
-    const auto res = h.verify();
-    EXPECT_TRUE(res.ok) << "kill at event " << ev << ": " << res.detail;
+      sweep_and_verify_online(h, sim_end);
+      takeovers += h.rt.containment()->snapshot().leader_takeovers;
+      const auto summ = h.pool.mem().psan()->summary();
+      EXPECT_EQ(summ.correctness(), 0u)
+          << ptm::algo_suffix(algo) << " kill at event " << ev << "/" << total
+          << ": missing_flush=" << summ.missing_flush
+          << " misordered_persist=" << summ.misordered_persist;
+      h.rt.containment()->revive_all();
+      h.power_fail_and_recover(ctx, ev);
+      test::expect_clean_recovery(h.report);
+      const auto res = h.verify();
+      EXPECT_TRUE(res.ok) << ptm::algo_suffix(algo) << " kill at event " << ev << ": "
+                          << res.detail;
+    }
+    EXPECT_GE(takeovers, 1u) << ptm::algo_suffix(algo)
+                             << ": no kill event ever landed on a drain leader mid-epoch";
   }
-  EXPECT_GE(takeovers, 1u)
-      << "no kill event ever landed on a drain leader mid-epoch";
 }
 
 // ----- backoff cap (SystemConfig::backoff_max_ns) ------------------------

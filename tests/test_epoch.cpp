@@ -176,6 +176,51 @@ TEST(EpochCommit, FewerFencesPerCommitThanPerTx) {
   }
 }
 
+// Per-transaction commit is an epoch of one: both modes run the same seal
+// batches (Tx::seal), so a lone worker committing alone and an epoch of
+// one must issue the same clwbs, sfences and pmem stores per commit — for
+// both algorithms, with and without mirrored metadata.
+TEST(EpochCommit, EpochOfOneIssuesThePerTxSequence) {
+  constexpr int kTxs = 16;
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    for (bool mirror : {false, true}) {
+      stats::TxCounters tot[2];  // over kTxs commits, so equal per commit
+      for (int mode = 0; mode < 2; mode++) {
+        nvm::SystemConfig cfg = epoch_cfg(nvm::Domain::kAdr, mirror);
+        cfg.torn_stores = false;
+        cfg.epoch_commit = mode == 1;
+        cfg.epoch_max_txs = 1;
+        nvm::Pool pool(cfg);
+        if (pool.config().epoch_commit != cfg.epoch_commit) {
+          GTEST_SKIP() << "REPRO_EPOCH forces epoch commit on both legs";
+        }
+        ptm::Runtime rt(pool, algo);
+        auto* root = pool.root<BankRoot>();
+        sim::RealContext ctx(0, cfg.max_workers);
+        rt.run(ctx, [&](ptm::Tx& tx) {
+          for (int i = 0; i < kAccounts; i++) tx.write(&root->bal[i], kInitBal);
+        });
+        rt.reset_counters();
+        for (int t = 0; t < kTxs; t++) {
+          rt.run(ctx, [&](ptm::Tx& tx) {
+            for (int i = 0; i < 3; i++) {
+              const uint64_t v = tx.read(&root->bal[3 * (t % 8) + i]);
+              tx.write(&root->bal[3 * (t % 8) + i], v + 1);
+            }
+          });
+        }
+        tot[mode] = stats::aggregate(rt.snapshot_counters());
+        ASSERT_EQ(tot[mode].commits, uint64_t{kTxs});
+      }
+      const char* leg = mirror ? "mirrored" : "plain";
+      EXPECT_EQ(tot[0].clwbs, tot[1].clwbs) << ptm::algo_suffix(algo) << " " << leg;
+      EXPECT_EQ(tot[0].sfences, tot[1].sfences) << ptm::algo_suffix(algo) << " " << leg;
+      EXPECT_EQ(tot[0].pmem_stores, tot[1].pmem_stores)
+          << ptm::algo_suffix(algo) << " " << leg;
+    }
+  }
+}
+
 // ----- reset after recovery ----------------------------------------------
 
 // Runtime::recover() must drop all volatile epoch state: a crash mid-drain
