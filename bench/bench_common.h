@@ -16,9 +16,6 @@
 //   REPRO_TRACE=<file> record Chrome trace_event spans (src/stats/trace.h)
 //   REPRO_TELEMETRY=1 phase histograms without the JSON artifact
 //   REPRO_DEVSTATS=1  emulated DIMM counters ("device" section; trace "ph":"C")
-//   REPRO_BENCH=<file> write the wall-clock self-profile artifact (sim-
-//                     events/sec per point + per subsystem; rolled into
-//                     BENCH_<n>.json by scripts/bench_trajectory.py)
 #pragma once
 
 #include <cstdlib>
@@ -30,6 +27,7 @@
 #include "stats/histogram.h"
 #include "stats/json_writer.h"
 #include "stats/report.h"
+#include "util/env.h"
 #include "util/table.h"
 #include "workloads/driver.h"
 
@@ -59,25 +57,18 @@ class Output {
   /// panel/table title, `label` the curve (a point is identified by
   /// (bench, label, threads) — compare_results.py matches on that key).
   void add_result(std::string bench, std::string label, const stats::RunResult& r) {
-    if (json_path_.empty() && bench_path_.empty()) return;
+    if (json_path_.empty()) return;
     points_.push_back(Point{std::move(bench), std::move(label), r});
   }
 
-  ~Output() {
-    write_json_artifact();
-    write_bench_artifact();
-  }
+  ~Output() { write_json_artifact(); }
 
  private:
   Output() {
-    if (const char* s = std::getenv("REPRO_CSV")) csv_ = s[0] == '1';
     if (const char* p = std::getenv("REPRO_JSON"); p != nullptr && p[0] != '\0') {
       json_path_ = p;
       // The artifact's phase percentiles require the latency histograms.
       stats::set_telemetry_enabled(true);
-    }
-    if (const char* p = std::getenv("REPRO_BENCH"); p != nullptr && p[0] != '\0') {
-      bench_path_ = p;
     }
   }
 
@@ -107,76 +98,14 @@ class Output {
               << "\n";
   }
 
-  // The self-profile artifact: how fast the simulator itself ran, overall
-  // and per subsystem. Wall-clock numbers are machine-dependent, which is
-  // why they live in their own artifact instead of the deterministic
-  // REPRO_JSON one; scripts/bench_trajectory.py merges the per-binary
-  // files into the per-PR BENCH_<n>.json trajectory record.
-  void write_bench_artifact() {
-    if (bench_path_.empty()) return;
-    std::ofstream f(bench_path_);
-    if (!f) {
-      std::cerr << "REPRO_BENCH: cannot open " << bench_path_ << "\n";
-      return;
-    }
-    uint64_t wall_ns = 0, sim_events = 0;
-    stats::JsonWriter w(f);
-    w.begin_object();
-    w.kv("schema_version", 1);
-    w.kv("tool", "optane-ptm-bench-profile");
-    w.key("points").begin_array();
-    for (const Point& p : points_) {
-      const stats::RunResult& r = p.result;
-      wall_ns += r.wall_ns;
-      sim_events += r.sim_events();
-      w.begin_object();
-      w.kv("bench", p.bench);
-      w.kv("label", p.label);
-      w.kv("workload", r.workload);
-      w.kv("config", r.config);
-      w.kv("threads", r.threads);
-      w.kv("sim_ns", r.sim_ns);
-      w.kv("throughput_tx_per_sec", r.throughput_tx_per_sec());
-      w.kv("wall_ns", r.wall_ns);
-      w.kv("sim_events", r.sim_events());
-      w.kv("sim_events_per_sec", r.sim_events_per_sec());
-      // Event counts per simulator subsystem: with the per-event costs
-      // roughly constant, the shares say where a wall-clock regression
-      // in the trajectory came from.
-      w.key("subsystems").begin_object();
-      w.kv("cache", r.totals.l3_hits + r.totals.l3_misses);
-      w.kv("channel", r.channel_requests);
-      w.kv("wpq", r.totals.clwbs);
-      w.kv("psan", r.psan.events);
-      w.kv("fault", r.persistence_events);
-      w.kv("scheduler", r.fiber_switches);
-      w.end_object();
-      w.end_object();
-    }
-    w.end_array();
-    w.key("totals").begin_object();
-    w.kv("wall_ns", wall_ns);
-    w.kv("sim_events", sim_events);
-    w.kv("sim_events_per_sec",
-         wall_ns == 0 ? 0.0
-                      : static_cast<double>(sim_events) * 1e9 /
-                            static_cast<double>(wall_ns));
-    w.end_object();
-    w.end_object();
-    f << "\n";
-    std::cerr << "REPRO_BENCH: wrote " << points_.size() << " points to " << bench_path_
-              << "\n";
-  }
-
   struct Point {
     std::string bench;
     std::string label;
     stats::RunResult result;
   };
 
-  bool csv_ = false;
+  bool csv_ = util::env_on("REPRO_CSV");
   std::string json_path_;
-  std::string bench_path_;
   std::vector<Point> points_;
 };
 

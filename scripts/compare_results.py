@@ -2,20 +2,15 @@
 """Diff two REPRO_JSON bench artifacts (see docs/OBSERVABILITY.md).
 
 Usage: compare_results.py BASELINE.json CANDIDATE.json [--threshold PCT]
-       compare_results.py --trajectory BENCH_5.json BENCH_6.json [--threshold PCT]
 
-Default mode: points are matched on (bench, label, threads). For each
-matched point the throughput delta is reported; deltas below -THRESHOLD%
-(default 5) are regressions. Abort totals that grew by more than the same
-factor are flagged too (as warnings — abort counts are legitimately noisy
-at low thread counts).
+Points are matched on (bench, label, threads). For each matched point the
+throughput delta is reported; deltas below -THRESHOLD% (default 5) are
+regressions. Abort totals that grew by more than the same factor are
+flagged too (as warnings — abort counts are legitimately noisy at low
+thread counts).
 
---trajectory mode: the inputs are two BENCH_<n>.json records written by
-scripts/bench_trajectory.py. Per-bench (and total) wall-clock simulation
-speed — sim_events_per_sec — is compared instead of simulated throughput;
-drops beyond THRESHOLD% (default 10) are regressions. Wall-clock speed is
-machine-dependent, so cross-machine comparisons should pass a lenient
-threshold.
+Host (wall-clock) speed is not compared here: benchmark/ (ptmbench)
+measures it.
 
 Exit status: 0 when no regression, 1 otherwise. Comparing an artifact
 against itself must report zero regressions.
@@ -48,87 +43,6 @@ def fmt_key(key):
     return f"{bench} / {label} @ {threads}t"
 
 
-def load_trajectory(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("tool") != "optane-ptm-bench-trajectory":
-        sys.exit(f"{path}: not an optane-ptm-bench-trajectory artifact "
-                 "(expected a scripts/bench_trajectory.py output)")
-    return doc
-
-
-def cross_machine(base, cand):
-    """True when the two trajectory records were provably produced on
-    different hardware. Rates from different machines are not comparable,
-    so regressions are downgraded to warnings. The decision uses CPU model
-    and core count, not hostname: CI runners draw fresh hostnames from an
-    identical-hardware pool every run, and keying on hostname would
-    permanently neuter the gate there. Hostnames are still printed for
-    diagnosis. Records predating the environment field compare as before
-    (unknown is not proof of a different machine)."""
-    eb, ec = base.get("environment"), cand.get("environment")
-    if not eb or not ec:
-        return False
-    return (eb.get("cpu_model"), eb.get("cores")) != (
-        ec.get("cpu_model"), ec.get("cores"))
-
-
-def compare_trajectories(base_path, cand_path, threshold):
-    base = load_trajectory(base_path)
-    cand = load_trajectory(cand_path)
-
-    rows = []  # (name, base_rate, cand_rate)
-    for name in sorted(set(base["benches"]) & set(cand["benches"])):
-        rows.append((name,
-                     base["benches"][name]["sim_events_per_sec"],
-                     cand["benches"][name]["sim_events_per_sec"]))
-    if not rows:
-        sys.exit("no bench names in common between the two trajectories")
-    rows.append(("TOTAL",
-                 base["totals"]["sim_events_per_sec"],
-                 cand["totals"]["sim_events_per_sec"]))
-
-    # A zero rate on either side means a broken self-profile, not a slow
-    # simulator. The old `if rb else 0.0` guard silently reported +0.0%
-    # for such rows, so a dead profiler could never fail the gate.
-    for name, rb, rc in rows:
-        if rb <= 0 or rc <= 0:
-            sys.exit(f"{name}: zero sim-events/sec rate "
-                     f"({rb:g} -> {rc:g}) — the wall-clock self-profile is "
-                     "broken; refusing to compare")
-
-    foreign = cross_machine(base, cand)
-    eb, ec = base.get("environment", {}), cand.get("environment", {})
-    if foreign:
-        print(f"note: trajectories come from different hardware "
-              f"({eb.get('cpu_model', '?')} x{eb.get('cores', '?')} "
-              f"[{eb.get('hostname', '?')}] vs "
-              f"{ec.get('cpu_model', '?')} x{ec.get('cores', '?')} "
-              f"[{ec.get('hostname', '?')}]); deltas reported as warnings only")
-
-    print(f"trajectory: PR {base.get('pr', '?')} -> PR {cand.get('pr', '?')} "
-          f"(sim-events/sec, threshold {threshold:g}%)")
-    regressions = []
-    for name, rb, rc in rows:
-        delta = 100.0 * (rc / rb - 1.0)
-        mark = ""
-        if delta < -threshold:
-            if foreign:
-                mark = "  <-- warn: beyond threshold (cross-machine)"
-            else:
-                mark = "  <-- REGRESSION"
-                regressions.append(name)
-        print(f"  {name:30s} {rb / 1e6:10.3f} -> {rc / 1e6:10.3f} M/s "
-              f"({delta:+.1f}%){mark}")
-
-    for name in sorted(set(base["benches"]) - set(cand["benches"])):
-        print(f"  warn: only in baseline : {name}")
-    for name in sorted(set(cand["benches"]) - set(base["benches"])):
-        print(f"  warn: only in candidate: {name}")
-
-    return 1 if regressions else 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline")
@@ -136,23 +50,11 @@ def main():
     ap.add_argument(
         "--threshold",
         type=float,
-        default=None,
+        default=5.0,
         metavar="PCT",
-        help="regression threshold in percent (default 5; 10 with --trajectory)",
-    )
-    ap.add_argument(
-        "--trajectory",
-        action="store_true",
-        help="compare two BENCH_<n>.json wall-clock trajectory records "
-        "instead of REPRO_JSON artifacts",
+        help="regression threshold in percent (default 5)",
     )
     args = ap.parse_args()
-
-    if args.trajectory:
-        threshold = 10.0 if args.threshold is None else args.threshold
-        return compare_trajectories(args.baseline, args.candidate, threshold)
-    if args.threshold is None:
-        args.threshold = 5.0
 
     base = load_points(args.baseline)
     cand = load_points(args.candidate)

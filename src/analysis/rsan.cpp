@@ -8,6 +8,7 @@
 #endif
 
 #include "stats/report.h"
+#include "util/env.h"
 
 namespace analysis {
 
@@ -27,11 +28,7 @@ namespace {
 // a diagnostic's event history (pair with REPRO_RSAN_ABORT=1 to stop at the
 // first diagnostic).
 bool trace_enabled() {
-  static const bool on = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    const char* s = std::getenv("REPRO_RSAN_TRACE");
-    return s != nullptr && s[0] != '\0' && s[0] != '0';
-  }();
+  static const bool on = util::env_on("REPRO_RSAN_TRACE");
   return on;
 }
 
@@ -109,11 +106,7 @@ void Rsan::emit(RsanKind kind, int worker, int other, uint64_t addr,
   diags_.push_back(d);
   // Debug aid: REPRO_RSAN_ABORT=1 turns the first diagnostic into an abort
   // so a debugger catches the racing access with its full stack.
-  static const bool abort_on_diag = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-    const char* s = std::getenv("REPRO_RSAN_ABORT");
-    return s != nullptr && s[0] != '\0' && s[0] != '0';
-  }();
+  static const bool abort_on_diag = util::env_on("REPRO_RSAN_ABORT");
   if (abort_on_diag) {
     std::fprintf(stderr, "rsan: aborting on %s worker=%d other=%d addr=0x%llx line=%llu: %s\n",
                  rsan_kind_name(kind), worker, other,

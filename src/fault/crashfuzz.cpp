@@ -11,7 +11,6 @@
 #include "fault/harness.h"
 #include "ptm/containment.h"
 #include "ptm/redo_log.h"
-#include "ptm/watchdog.h"
 #include "sim/engine.h"
 
 namespace fault {
@@ -202,12 +201,11 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
       const bool dog_fiber = spec.kill;
       sim::Engine engine(dog_fiber ? kEpochWorkers + 1 : kEpochWorkers);
       std::atomic<int> active{kEpochWorkers};
-      ptm::Watchdog watchdog(h.rt);
       const int txs = (spec.workload == 0 ? kBankTxs : kChurnTxs) / kEpochWorkers;
       engine.run([&](sim::ExecContext& wctx) {
         if (dog_fiber && wctx.worker_id() == kEpochWorkers) {
           while (active.load(std::memory_order_acquire) > 0) {
-            watchdog.run_pass(wctx);
+            h.rt.containment()->sweep(wctx, &h.rt.counters(wctx.worker_id()));
             if (active.load(std::memory_order_acquire) <= 0) break;
             wctx.advance(kKillWatchdogNs);
           }

@@ -61,9 +61,6 @@ struct SystemConfig {
   /// failure and exercise recovery. Off for performance runs.
   bool crash_sim = false;
 
-  /// Charge modelled time under the discrete-event engine.
-  bool model_timing = true;
-
   /// Run the persistency sanitizer (analysis::Psan): a per-cache-line
   /// flush/fence ordering checker over every instrumented access. Like
   /// telemetry/checksums it is zero-cost when off (one null-pointer test
@@ -147,13 +144,6 @@ struct SystemConfig {
   /// 0 disables containment entirely — the runtime carries a null manager
   /// and every hook is one null-pointer test, like psan/devstats.
   uint64_t tx_timeout_ns = 0;
-
-  /// Watchdog cadence in simulated nanoseconds; 0 disables the watchdog
-  /// fiber. When nonzero (and tx_timeout_ns > 0) the workload driver
-  /// schedules one extra DES fiber that sweeps for transactions stalled
-  /// past the lease timeout, so stuck transactions are reclaimed even
-  /// when no live worker ever conflicts with them (ptm::Watchdog).
-  uint64_t watchdog_interval_ns = 0;
 
   /// Ceiling for randomized abort backoff. The exponential draw in
   /// Tx::handle_abort is clamped (with jitter, so retriers stay

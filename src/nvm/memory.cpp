@@ -87,7 +87,7 @@ void Memory::model_addr(sim::ExecContext& ctx, stats::TxCounters* c, const void*
   if (c) {
     if (is_write) c->pmem_stores++; else c->pmem_loads++;
   }
-  if (!cfg_.model_timing || !ctx.is_simulated()) return;
+  if (!ctx.is_simulated()) return;
   const uint64_t first = line_of(addr);
   const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
   for (uint64_t line = first; line <= last; line++) {
@@ -100,7 +100,7 @@ void Memory::touch_lines(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t f
   if (c) {
     if (is_write) c->pmem_stores += nlines; else c->pmem_loads += nlines;
   }
-  if (!cfg_.model_timing || !ctx.is_simulated()) return;
+  if (!ctx.is_simulated()) return;
   for (size_t i = 0; i < nlines; i++) {
     model_line(ctx, c, first_line + i, is_write, space);
   }
@@ -240,7 +240,7 @@ void Memory::clwb(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr)
   const Media med = media_of(line, Space::kData);
   const CostModel& cm = cfg_.cost;
 
-  if (cfg_.model_timing && ctx.is_simulated()) {
+  if (ctx.is_simulated()) {
     ctx.advance(static_cast<uint64_t>(cm.clwb_issue_ns));
     l3_.clean(line);
     // Stall while the WPQ is full.
@@ -280,7 +280,7 @@ void Memory::persist_lines(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t
   if (cfg_.domain != Domain::kAdr) return;
   const CostModel& cm = cfg_.cost;
   if (c) c->clwbs += nlines;
-  if (!cfg_.model_timing || !ctx.is_simulated()) return;
+  if (!ctx.is_simulated()) return;
   for (size_t i = 0; i < nlines; i++) {
     const uint64_t line = first_line + i;
     const Media med = media_of(line, Space::kData);
@@ -317,7 +317,7 @@ void Memory::sfence(sim::ExecContext& ctx, stats::TxCounters* c) {
   }
   if (cfg_.elide_fences) return;  // Table III: incorrect no-fence variant
 
-  if (cfg_.model_timing && ctx.is_simulated()) {
+  if (ctx.is_simulated()) {
     const uint64_t drain = wpq_.worker_drain_ns(ctx.worker_id());
     if (drain > ctx.now_ns()) {
       const uint64_t wait = drain - ctx.now_ns();

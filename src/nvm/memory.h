@@ -296,9 +296,9 @@ class Memory {
   /// devstats to be enabled.
   stats::DeviceCounters device_snapshot(uint64_t sim_end_ns);
 
-  /// Total bandwidth-channel requests across all four channels — the
-  /// self-profiler's "channel" subsystem event count (always counted; two
-  /// integer adds per request).
+  /// Total bandwidth-channel requests across all four channels (always
+  /// counted; two integer adds per request). workloads::run_point copies
+  /// it into RunResult::channel_requests for ptmbench's report.
   uint64_t channel_requests() const {
     return dram_read_.requests() + dram_write_.requests() + optane_read_.requests() +
            optane_write_.requests();

@@ -11,13 +11,13 @@
 //  * every worker heartbeats (begin, per read/write, per epoch-wait poll),
 //    so "last_beat + tx_timeout_ns" is a per-worker lease on its specula-
 //    tive state;
-//  * a waiter that finds an orec locked by an expired owner — or the
-//    watchdog fiber sweeping on its interval — reclaims the victim's
-//    transaction ON ITS BEHALF: complete it forward if its commit record
-//    is sealed (replay the redo log / keep the in-place data), roll it
-//    back otherwise (apply the undo log / discard the unsealed redo log),
-//    durably retire the slot to IDLE, release the victim's orecs, and
-//    quarantine the descriptor;
+//  * a waiter that finds an orec locked by an expired owner — or a
+//    watchdog fiber calling sweep() on its own cadence — reclaims the
+//    victim's transaction ON ITS BEHALF: complete it forward if its
+//    commit record is sealed (replay the redo log / keep the in-place
+//    data), roll it back otherwise (apply the undo log / discard the
+//    unsealed redo log), durably retire the slot to IDLE, release the
+//    victim's orecs, and quarantine the descriptor;
 //  * an epoch member whose drain leader died steals the expired leadership
 //    lease and re-runs the fence batches (EpochManager::try_lead).
 //
@@ -98,8 +98,12 @@ class ContainmentManager {
   /// attempt — its retry revalidates everything).
   bool on_locked_orec(uint32_t owner, sim::ExecContext& ctx, stats::TxCounters* c);
 
-  /// Watchdog pass: reclaim every stale in-flight worker except the
-  /// caller. Safe to call from any fiber whose worker id has a slot.
+  /// One watchdog pass (ContainmentStats::watchdog_passes): reclaim every
+  /// stale in-flight worker except the caller, charging the work to `c`.
+  /// Safe to call from any fiber whose worker id has a slot. It is the
+  /// only way to reclaim a victim whose locks no live worker touches;
+  /// crashfuzz's kill schedules and tests/test_containment.cpp call it
+  /// from a fiber on the spare worker id every few simulated microseconds.
   void sweep(sim::ExecContext& ctx, stats::TxCounters* c);
 
   /// EpochManager::try_lead stole the drain lease from `old_leader`:

@@ -232,7 +232,7 @@ struct ContainmentStats {
   uint64_t commits_completed = 0;  // of reclaimed: rolled forward (durably committed)
   uint64_t leader_takeovers = 0;   // epoch drains stolen from an expired leader
   uint64_t zombies_fenced = 0;     // stalled workers killed on wake after reclamation
-  uint64_t watchdog_passes = 0;    // watchdog sweeps completed
+  uint64_t watchdog_passes = 0;    // ContainmentManager::sweep calls
   Histogram reclaim_latency_ns;    // lease expiry -> slot retired, per reclaim
 };
 

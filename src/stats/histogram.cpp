@@ -1,17 +1,14 @@
 #include "stats/histogram.h"
 
 #include <atomic>
-#include <cstdlib>
+
+#include "util/env.h"
 
 namespace stats {
 
 namespace {
 
-std::atomic<bool> g_telemetry{[] {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-  const char* s = std::getenv("REPRO_TELEMETRY");
-  return s != nullptr && s[0] == '1';
-}()};
+std::atomic<bool> g_telemetry{util::env_on("REPRO_TELEMETRY")};
 
 }  // namespace
 

@@ -24,25 +24,17 @@ struct RunResult {
   // byte-identical to runs built before the subsystem existed.
   DeviceCounters device;
 
-  // Wall-clock self-profile of the simulation itself (never serialized in
-  // the deterministic REPRO_JSON artifact — wall time varies run to run;
-  // bench::Output routes it to the separate REPRO_BENCH artifact).
-  uint64_t wall_ns = 0;            // host time spent inside the run
-  uint64_t channel_requests = 0;   // bandwidth-channel grants (subsystem "channel")
-  uint64_t persistence_events = 0; // crash-sim persistence hooks (subsystem "fault")
-  uint64_t fiber_switches = 0;     // DES worker handoffs (subsystem "scheduler")
+  // How the simulator itself ran. Never serialized in the deterministic
+  // REPRO_JSON artifact: wall time varies run to run.
+  uint64_t wall_ns = 0;           // host time inside Engine::run: ptmbench's run_s
+  uint64_t channel_requests = 0;  // bandwidth-channel grants: ptmbench's "sim" section
+  uint64_t fiber_switches = 0;    // sim::Engine handoffs: DriverTest.DeterministicAcrossCalls
 
   /// Simulation events processed: the instrumented-access count that
-  /// dominates DES work. wall_ns / sim_events() is the self-profiler's
-  /// headline nanoseconds-per-event figure.
+  /// dominates DES work. ptmbench reports it and derives
+  /// sim.mevents_per_s from it (benchmark/README.md).
   uint64_t sim_events() const {
     return totals.pmem_loads + totals.pmem_stores + totals.clwbs + totals.sfences;
-  }
-
-  /// Events per wall-clock second (0 when wall time was not measured).
-  double sim_events_per_sec() const {
-    if (wall_ns == 0) return 0.0;
-    return static_cast<double>(sim_events()) * 1e9 / static_cast<double>(wall_ns);
   }
 
   // Startup recovery outcome for this point's pool (a fresh pool recovers

@@ -1,6 +1,5 @@
 #include "workloads/driver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include "analysis/rsan.h"
 #include "ptm/containment.h"
 #include "ptm/scrub.h"
-#include "ptm/watchdog.h"
 #include "stats/trace.h"
 
 namespace workloads {
@@ -61,41 +59,27 @@ stats::RunResult run_point(const WorkloadFactory& factory, const RunPoint& p) {
                                        std::to_string(p.threads));
   }
 
-  // Background patrol fibers share one extra fiber: with scrubbing
-  // configured it walks the log metadata, with containment + watchdog
-  // configured it sweeps for stuck transactions, each at its own sim-time
-  // cadence, until every worker has finished. Its worker id is p.threads —
-  // the same id as the setup slot, which is idle for the whole measured
-  // run, so WPQ/channel bookkeeping stays in range.
+  // With scrubbing configured, one extra fiber walks the log metadata at
+  // its sim-time cadence until every worker has finished. Its worker id is
+  // p.threads — the same id as the setup slot, which is idle for the whole
+  // measured run, so WPQ/channel bookkeeping stays in range.
   const bool scrubbing = cfg.scrub_interval_ns > 0;
-  const bool watchdogging =
-      rt.containment() != nullptr && cfg.watchdog_interval_ns > 0;
-  const bool patrolling = scrubbing || watchdogging;
   ptm::Scrubber scrub(rt);
-  ptm::Watchdog watchdog(rt);
   std::atomic<int> active{p.threads};
-  sim::Engine engine(patrolling ? p.threads + 1 : p.threads);
+  sim::Engine engine(scrubbing ? p.threads + 1 : p.threads);
   const uint64_t ops = p.ops_per_thread;
   const auto wall_start = std::chrono::steady_clock::now();
   engine.run([&](sim::ExecContext& ctx) {
-    if (patrolling && ctx.worker_id() == p.threads) {
+    if (scrubbing && ctx.worker_id() == p.threads) {
       uint64_t next_scrub = ctx.now_ns();
-      uint64_t next_sweep = ctx.now_ns();
       while (active.load(std::memory_order_acquire) > 0) {
-        if (scrubbing && ctx.now_ns() >= next_scrub) {
+        if (ctx.now_ns() >= next_scrub) {
           scrub.run_pass(ctx);
           next_scrub = ctx.now_ns() + cfg.scrub_interval_ns;
         }
-        if (watchdogging && ctx.now_ns() >= next_sweep) {
-          watchdog.run_pass(ctx);
-          next_sweep = ctx.now_ns() + cfg.watchdog_interval_ns;
-        }
         if (active.load(std::memory_order_acquire) <= 0) break;
-        uint64_t next = UINT64_MAX;
-        if (scrubbing) next = std::min(next, next_scrub);
-        if (watchdogging) next = std::min(next, next_sweep);
         const uint64_t now = ctx.now_ns();
-        ctx.advance(next > now ? next - now : 1);
+        ctx.advance(next_scrub > now ? next_scrub - now : 1);
       }
       return;
     }
@@ -103,7 +87,7 @@ stats::RunResult run_point(const WorkloadFactory& factory, const RunPoint& p) {
     for (uint64_t i = 0; i < ops; i++) {
       w->op(rt, ctx, rng);
     }
-    if (patrolling) active.fetch_sub(1, std::memory_order_acq_rel);
+    if (scrubbing) active.fetch_sub(1, std::memory_order_acq_rel);
   });
   const auto wall_end = std::chrono::steady_clock::now();
 
@@ -126,7 +110,6 @@ stats::RunResult run_point(const WorkloadFactory& factory, const RunPoint& p) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end - wall_start)
           .count());
   r.channel_requests = pool.mem().channel_requests();
-  r.persistence_events = pool.mem().persistence_events();
   r.fiber_switches = engine.switches();
   return r;
 }

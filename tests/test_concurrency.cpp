@@ -108,9 +108,7 @@ TEST_P(ConcurrencyTest, DesInvariantPairStaysConsistent) {
 TEST_P(ConcurrencyTest, RealThreadsCounter) {
   // Genuine parallelism (as genuine as a 1-core host allows): the STM's
   // atomics must provide the same guarantees without the DES scheduler.
-  auto cfg = test::small_cfg(nvm::Domain::kEadr);
-  cfg.model_timing = false;
-  nvm::Pool pool(cfg);
+  nvm::Pool pool(test::small_cfg(nvm::Domain::kEadr));
   ptm::Runtime rt(pool, GetParam().algo);
   auto* root = pool.root<Root>();
 
@@ -132,9 +130,7 @@ TEST_P(ConcurrencyTest, RealThreadsCounter) {
 }
 
 TEST_P(ConcurrencyTest, RealThreadsDisjointCells) {
-  auto cfg = test::small_cfg(nvm::Domain::kEadr);
-  cfg.model_timing = false;
-  nvm::Pool pool(cfg);
+  nvm::Pool pool(test::small_cfg(nvm::Domain::kEadr));
   ptm::Runtime rt(pool, GetParam().algo);
   auto* root = pool.root<Root>();
 

@@ -33,7 +33,6 @@
 #include "ptm/backoff.h"
 #include "ptm/containment.h"
 #include "ptm/runtime.h"
-#include "ptm/watchdog.h"
 #include "sim/engine.h"
 #include "test_common.h"
 
@@ -80,12 +79,11 @@ uint64_t contended_round(fault::CrashHarness& h, int txs, uint64_t wl_seed,
   auto* root = h.pool.root<BankRoot>();
   sim::Engine engine(kWorkers + 1);
   std::atomic<int> active{kWorkers};
-  ptm::Watchdog watchdog(h.rt);
   int kills = 0;
   engine.run([&](sim::ExecContext& wctx) {
     if (wctx.worker_id() == kWorkers) {
       while (active.load(std::memory_order_acquire) > 0) {
-        watchdog.run_pass(wctx);
+        h.rt.containment()->sweep(wctx, &h.rt.counters(wctx.worker_id()));
         if (active.load(std::memory_order_acquire) <= 0) break;
         wctx.advance(kWatchdogNs);
       }

@@ -247,7 +247,6 @@ TEST(DevStatsRun, SelfProfileFieldsPopulated) {
   const stats::RunResult r = run_btree(adr_point(/*devstats=*/false, 1));
   EXPECT_GT(r.wall_ns, 0u);
   EXPECT_GT(r.sim_events(), 0u);
-  EXPECT_GT(r.sim_events_per_sec(), 0.0);
   EXPECT_GT(r.channel_requests, 0u);
   EXPECT_EQ(r.fiber_switches, 0u);  // a lone worker never hands off
 }

@@ -1,6 +1,7 @@
 // Memory-system model behaviours that the figure benches rely on:
 // bandwidth saturation knees, PDRAM directory routing, virtual-payload
-// modelling, prewarm, and WPQ backpressure.
+// modelling, prewarm, WPQ backpressure, and no modelled cost outside the
+// discrete-event engine.
 #include <gtest/gtest.h>
 
 #include "nvm/pool.h"
@@ -167,6 +168,33 @@ TEST(Wpq, BackpressureStallsRecordedInCounters) {
   });
   EXPECT_GT(c.wpq_stall_ns, 0u);
   EXPECT_GT(c.fence_wait_ns, 0u);
+}
+
+TEST(MemoryModel, RealContextChargesNoModelTime) {
+  // Population, recovery and the real-thread tests run on a RealContext:
+  // the accesses execute and are counted, but none is modelled, so the
+  // clock stays at zero and no bandwidth channel is ever requested.
+  nvm::Pool pool(nvm::SystemConfig{});  // Optane, ADR
+  nvm::Memory& mem = pool.mem();
+  sim::RealContext ctx;
+  stats::TxCounters c;
+  auto* words = reinterpret_cast<uint64_t*>(pool.heap_base());
+  for (int i = 0; i < 64; i++) {
+    mem.store_word(ctx, &c, words + 8 * i, 1, nvm::Space::kData);
+    mem.clwb(ctx, &c, words + 8 * i);
+  }
+  mem.sfence(ctx, &c);
+  EXPECT_EQ(mem.load_word(ctx, &c, words, nvm::Space::kData), 1u);
+  mem.touch_lines(ctx, &c, mem.virtual_line_base(), 16, /*is_write=*/true, nvm::Space::kData);
+  mem.persist_lines(ctx, &c, mem.virtual_line_base(), 16);
+  mem.sfence(ctx, &c);
+
+  EXPECT_EQ(ctx.now_ns(), 0u);
+  EXPECT_EQ(mem.channel_requests(), 0u);
+  EXPECT_EQ(c.pmem_loads, 1u);
+  EXPECT_EQ(c.pmem_stores, 64u + 16u);
+  EXPECT_EQ(c.clwbs, 64u + 16u);
+  EXPECT_EQ(c.sfences, 2u);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
+#include "util/env.h"
 #include "util/rng.h"
 #include "util/strkey.h"
 #include "util/table.h"
@@ -134,4 +136,18 @@ TEST(Fnv1a, DistinctInputsDistinctHashes) {
 
 TEST(PaddedKey, WidthAndValue) {
   EXPECT_EQ(util::padded_key(42, 6), "000042");
+}
+
+TEST(EnvOn, SetNonEmptyAndNotZeroIsOn) {
+  constexpr const char* kVar = "PTM_TEST_ENV_ON";
+  for (const char* v : {"1", "true"}) {
+    ASSERT_EQ(setenv(kVar, v, 1), 0);
+    EXPECT_TRUE(util::env_on(kVar)) << '"' << v << '"';
+  }
+  for (const char* v : {"0", "00", ""}) {
+    ASSERT_EQ(setenv(kVar, v, 1), 0);
+    EXPECT_FALSE(util::env_on(kVar)) << '"' << v << '"';
+  }
+  ASSERT_EQ(unsetenv(kVar), 0);
+  EXPECT_FALSE(util::env_on(kVar));
 }
