@@ -14,7 +14,6 @@
 //                     phase-latency telemetry; scripts/compare_results.py
 //                     diffs two artifacts)
 //   REPRO_TRACE=<file> record Chrome trace_event spans (src/stats/trace.h)
-//   REPRO_TELEMETRY=1 phase histograms without the JSON artifact
 //   REPRO_DEVSTATS=1  emulated DIMM counters ("device" section; trace "ph":"C")
 #pragma once
 
@@ -108,6 +107,12 @@ class Output {
   std::string json_path_;
   std::vector<Point> points_;
 };
+
+// Construct the Output during static initialization, so REPRO_JSON turns
+// telemetry on before the first point runs and every point records its
+// phase histograms. The telemetry switch is constant-initialized, so this
+// cannot race its initialization.
+inline Output& g_output = Output::instance();
 
 struct Curve {
   std::string label;

@@ -91,9 +91,7 @@ void Psan::emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,
   diags_.push_back(d);
 }
 
-void Psan::on_store(int worker, uint64_t first_line, uint64_t last_line,
-                    bool log_space) {
-  (void)log_space;
+void Psan::on_store(int worker, uint64_t first_line, uint64_t last_line) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   if (!tracks_) return;  // eADR/PDRAM: stores are durable on their own

@@ -105,7 +105,7 @@ class Psan {
 
   // ----- event hooks (driven by nvm::Memory) ---------------------------
 
-  void on_store(int worker, uint64_t first_line, uint64_t last_line, bool log_space);
+  void on_store(int worker, uint64_t first_line, uint64_t last_line);
   void on_clwb(int worker, uint64_t line);
   /// Retires this worker's pending flushes. Note psan validates the
   /// ordering the *program issued*: under SystemConfig::elide_fences

@@ -14,11 +14,11 @@ CacheModel::CacheModel(uint64_t bytes, int ways) : ways_(ways) {
 CacheModel::AccessResult CacheModel::access(uint64_t line, bool is_write) {
   Way* set = set_of(line);
   tick_++;
+  const uint64_t dirty = is_write ? 1 : 0;
   // Hit?
   for (int i = 0; i < ways_; i++) {
     if (set[i].tag == line) {
-      set[i].lru = tick_;
-      set[i].dirty |= is_write;
+      set[i].stamp = (tick_ << 1) | (set[i].stamp & 1) | dirty;
       return {true, kNoLine};
     }
   }
@@ -29,13 +29,11 @@ CacheModel::AccessResult CacheModel::access(uint64_t line, bool is_write) {
       victim = i;
       break;
     }
-    if (set[i].lru < set[victim].lru) victim = i;
+    if (set[i].lru() < set[victim].lru()) victim = i;
   }
   uint64_t evicted = kNoLine;
-  if (set[victim].tag != kNoLine && set[victim].dirty) evicted = set[victim].tag;
-  set[victim].tag = line;
-  set[victim].lru = tick_;
-  set[victim].dirty = is_write;
+  if (set[victim].tag != kNoLine && set[victim].dirty()) evicted = set[victim].tag;
+  set[victim] = Way{line, (tick_ << 1) | dirty};
   return {false, evicted};
 }
 
@@ -43,8 +41,8 @@ bool CacheModel::clean(uint64_t line) {
   Way* set = set_of(line);
   for (int i = 0; i < ways_; i++) {
     if (set[i].tag == line) {
-      const bool was_dirty = set[i].dirty;
-      set[i].dirty = false;
+      const bool was_dirty = set[i].dirty();
+      set[i].stamp &= ~uint64_t{1};
       return was_dirty;
     }
   }

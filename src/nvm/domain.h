@@ -24,7 +24,7 @@ enum class Space : uint8_t { kData = 0, kLog = 1 };
 /// while dropping every unfenced log line, which breaks any algorithm
 /// that writes data before its undo record is fenced.
 enum class WritebackAdversary : uint8_t {
-  kRandom = 0,     // independent coin per line (crash_*_prob) — default
+  kRandom = 0,     // independent coin per line (pending 0.5, evicted 0.3) — default
   kNone = 1,       // nothing unfenced persists (strictest WPQ-only ADR)
   kAll = 2,        // everything persists (eADR-like; ordering bugs hide)
   kLogFirst = 3,   // unfenced log lines persist, unfenced data lines drop
@@ -83,12 +83,6 @@ struct SystemConfig {
   /// hook, like psan/devstats).
   bool rsan = false;
 
-  // Crash-simulation adversary: probability that a dirty-but-unflushed
-  // line (or a clwb'd-but-unfenced line) happens to persist anyway, as a
-  // real cache/WPQ might spontaneously write it back before the failure.
-  double crash_evict_prob = 0.3;
-  double crash_pending_prob = 0.5;
-
   /// Sub-line tearing under ADR: when set, an unfenced line persists as a
   /// random 8-byte-aligned *subset* of its words instead of all-or-
   /// nothing, matching real ADR's 8-byte store atomicity. Fenced lines
@@ -145,20 +139,10 @@ struct SystemConfig {
   /// and every hook is one null-pointer test, like psan/devstats.
   uint64_t tx_timeout_ns = 0;
 
-  /// Ceiling for randomized abort backoff. The exponential draw in
-  /// Tx::handle_abort is clamped (with jitter, so retriers stay
-  /// desynchronized) to at most this many nanoseconds; 0 means uncapped.
-  /// The default never binds at the default backoff_base_ns (150ns << 10
-  /// max shift = 153600 < 1MiB-ns), keeping default-config runs
-  /// byte-identical, but guarantees a contended worker cannot back off
-  /// past a containment watchdog timeout.
-  uint64_t backoff_max_ns = 1ull << 20;
-
   CostModel cost;
 
-  // Modelled hierarchy geometry.
+  // Modelled hierarchy geometry (the L3 is 16-way, the directory 1-way).
   uint64_t l3_bytes = 32ull << 20;
-  int l3_ways = 16;
   uint64_t dram_cache_bytes = 96ull << 20;  // PDRAM directory capacity
 
   // Pool geometry.

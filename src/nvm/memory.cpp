@@ -11,6 +11,15 @@
 #include "stats/trace.h"
 
 namespace nvm {
+namespace {
+
+// kRandom writeback adversary: the chance that a clwb'd-but-unfenced line
+// (pending) or a dirty, never-flushed line (evict) reaches the image at
+// an ADR power failure, as a real WPQ or cache might write it back early.
+constexpr double kPendingCoin = 0.5;
+constexpr double kEvictCoin = 0.3;
+
+}  // namespace
 
 Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
     : cfg_(cfg),
@@ -19,8 +28,8 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
       num_lines_(size / kLineBytes),
       // Leave a guard gap so pool lines and synthetic lines never collide.
       virt_base_line_(num_lines_ + (1ull << 20)),
-      l3_(cfg.l3_bytes, cfg.l3_ways),
-      dram_dir_(cfg.dram_cache_bytes),
+      l3_(cfg.l3_bytes, kL3Ways),
+      dram_dir_(cfg.dram_cache_bytes, 1),
       wpq_(cfg.cost.wpq_capacity, cfg.max_workers) {
   if (cfg_.crash_sim) {
     image_.reset(new unsigned char[size_]);
@@ -43,24 +52,20 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
 // destructors.
 Memory::~Memory() = default;
 
-void Memory::psan_store(sim::ExecContext& ctx, const void* addr, size_t len,
-                        Space space) {
-  const uint64_t first = line_of(addr);
-  const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
-  psan_->on_store(ctx.worker_id(), first, last, space == Space::kLog);
+void Memory::psan_store(sim::ExecContext& ctx, const void* addr, size_t len) {
+  const auto [first, last] = lines_of(addr, len);
+  psan_->on_store(ctx.worker_id(), first, last);
 }
 
 void Memory::rsan_load(sim::ExecContext& ctx, const void* addr, size_t len,
                        Space space) {
-  const uint64_t first = line_of(addr);
-  rsan_->on_load(ctx.worker_id(), reinterpret_cast<uintptr_t>(addr), len, first,
+  rsan_->on_load(ctx.worker_id(), reinterpret_cast<uintptr_t>(addr), len, line_of(addr),
                  space == Space::kLog);
 }
 
 void Memory::rsan_store(sim::ExecContext& ctx, const void* addr, size_t len,
                         Space space) {
-  const uint64_t first = line_of(addr);
-  const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
+  const auto [first, last] = lines_of(addr, len);
   rsan_->on_store(ctx.worker_id(), reinterpret_cast<uintptr_t>(addr), len, first,
                   last, space == Space::kLog);
 }
@@ -68,8 +73,7 @@ void Memory::rsan_store(sim::ExecContext& ctx, const void* addr, size_t len,
 void Memory::psan_check_persisted(sim::ExecContext& ctx, const void* addr, size_t len,
                                   analysis::DiagKind kind, const char* what) {
   if (!psan_) return;
-  const uint64_t first = line_of(addr);
-  const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
+  const auto [first, last] = lines_of(addr, len);
   psan_->check_persisted(ctx.worker_id(), first, last, kind, what);
 }
 
@@ -88,8 +92,7 @@ void Memory::model_addr(sim::ExecContext& ctx, stats::TxCounters* c, const void*
     if (is_write) c->pmem_stores++; else c->pmem_loads++;
   }
   if (!ctx.is_simulated()) return;
-  const uint64_t first = line_of(addr);
-  const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
+  const auto [first, last] = lines_of(addr, len);
   for (uint64_t line = first; line <= last; line++) {
     model_line(ctx, c, line, is_write, space);
   }
@@ -111,10 +114,6 @@ void Memory::model_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t li
   const CostModel& cm = cfg_.cost;
   double cost = cm.l1_hit_ns;
 
-  const Media med = media_of(line, space);
-  const bool via_dir = cfg_.domain == Domain::kPdram && cfg_.media == Media::kOptane &&
-                       med == Media::kOptane;
-
   const CacheModel::AccessResult l3r = l3_.access(line, is_write);
   if (l3r.evicted_dirty_line != CacheModel::kNoLine) {
     background_writeback(ctx, c, l3r.evicted_dirty_line);
@@ -132,48 +131,27 @@ void Memory::model_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t li
   if (c) c->l3_misses++;
 
   // L3 miss: the line is fetched from below (write-allocate on stores).
+  // Through the directory, a hit is served from DRAM and a miss from
+  // Optane, whose dirty victim is written back behind the access.
   const uint64_t now = ctx.now_ns();
-  if (via_dir) {
-    const DramCacheDirectory::AccessResult dr = dram_dir_.access(line, is_write);
-    if (dr.hit) {
-      if (c) {
-        c->dram_cache_hits++;
-        c->energy_pj += energy_.dram_read_pj;
-      }
-      const auto g = read_chan(Media::kDram).request(now, cm.read_svc_ns(Media::kDram));
-      cost += cm.dram_load_ns + static_cast<double>(g.wait_ns);
-      if (devstats_) devstats_->on_media_read(stats::kMediaDram, line, now);
-    } else {
-      if (c) {
-        c->dram_cache_misses++;
-        c->energy_pj += energy_.optane_read_pj;
-      }
-      const auto g = read_chan(Media::kOptane).request(now, cm.read_svc_ns(Media::kOptane));
-      cost += cm.optane_load_ns + static_cast<double>(g.wait_ns);
-      if (devstats_) devstats_->on_media_read(stats::kMediaOptane, line, now);
-      if (dr.evicted_dirty_line != DramCacheDirectory::kNoLine) {
-        // Victim writeback to Optane happens off the critical path; the
-        // accessor only stalls if the write channel is saturated.
-        auto& wc = write_chan(Media::kOptane);
-        wc.request(now, cm.write_svc_ns(Media::kOptane));
-        if (devstats_) devstats_->on_media_write(stats::kMediaOptane, dr.evicted_dirty_line, now);
-        const uint64_t threshold = static_cast<uint64_t>(
-            cm.write_svc_ns(Media::kOptane) * cfg_.cost.wpq_capacity);
-        const uint64_t backlog = wc.backlog_ns(now);
-        if (backlog > threshold) {
-          const uint64_t stall = backlog - threshold;
-          if (c) c->wpq_stall_ns += stall;
-          stats::record_phase(c, stats::Phase::kWpqStall, stall);
-          if (devstats_) devstats_->on_wpq_stall(ctx.worker_id(), stall);
-          cost += static_cast<double>(stall);
-        }
-      }
+  Media src = media_of(line, space);
+  uint64_t victim = CacheModel::kNoLine;
+  if (directory_on()) {
+    const CacheModel::AccessResult dr = dram_dir_.access(line, is_write);
+    if (c) (dr.hit ? c->dram_cache_hits : c->dram_cache_misses)++;
+    src = dr.hit ? Media::kDram : Media::kOptane;
+    victim = dr.evicted_dirty_line;
+  }
+  const auto g = read_chan(src).request(now, cm.read_svc_ns(src));
+  cost += cm.load_latency_ns(src) + static_cast<double>(g.wait_ns);
+  if (c) c->energy_pj += energy_.read_pj(src);
+  if (devstats_) devstats_->on_media_read(media_index(src), line, now);
+  if (victim != CacheModel::kNoLine) {
+    const uint64_t stall = write_behind(now, Media::kOptane, victim);
+    if (stall > 0) {
+      record_stall(ctx, c, stats::Phase::kWpqStall, stall);
+      cost += static_cast<double>(stall);
     }
-  } else {
-    const auto g = read_chan(med).request(now, cm.read_svc_ns(med));
-    cost += cm.load_latency_ns(med) + static_cast<double>(g.wait_ns);
-    if (c) c->energy_pj += energy_.read_pj(med);
-    if (devstats_) devstats_->on_media_read(media_index(med), line, now);
   }
   if (is_write) cost += cm.store_ns;
   ctx.advance(static_cast<uint64_t>(cost));
@@ -181,88 +159,97 @@ void Memory::model_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t li
 }
 
 void Memory::background_writeback(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t line) {
-  const CostModel& cm = cfg_.cost;
   const uint64_t now = ctx.now_ns();
-
-  Media med;
-  if (cfg_.domain == Domain::kPdram && cfg_.media == Media::kOptane) {
+  Media med = media_of(line, Space::kData);
+  if (directory_on()) {
     // Under PDRAM the L3 writes back into the DRAM cache; Optane traffic
-    // happens later, on directory eviction.
-    const auto dr = dram_dir_.access(line, /*is_write=*/true);
+    // happens on directory eviction. Unlike the load path's victim, this
+    // one books the Optane write channel without a stall check.
+    const CacheModel::AccessResult dr = dram_dir_.access(line, /*is_write=*/true);
     med = Media::kDram;
-    if (!dr.hit && dr.evicted_dirty_line != DramCacheDirectory::kNoLine) {
-      write_chan(Media::kOptane).request(now, cm.write_svc_ns(Media::kOptane));
-      if (devstats_) devstats_->on_media_write(stats::kMediaOptane, dr.evicted_dirty_line, now);
+    if (dr.evicted_dirty_line != CacheModel::kNoLine) {
+      write_behind(now, Media::kOptane, dr.evicted_dirty_line);
     }
-  } else {
-    med = media_of(line, Space::kData);
   }
-
-  auto& wc = write_chan(med);
-  wc.request(now, cm.write_svc_ns(med));
   if (c) c->energy_pj += energy_.write_pj(med);
-  if (devstats_) devstats_->on_media_write(media_index(med), line, now);
-  const uint64_t threshold =
-      static_cast<uint64_t>(cm.write_svc_ns(med) * cfg_.cost.wpq_capacity);
-  const uint64_t backlog = wc.backlog_ns(now);
-  if (backlog > threshold) {
-    const uint64_t stall = backlog - threshold;
-    if (c) c->wpq_stall_ns += stall;
-    stats::record_phase(c, stats::Phase::kWpqStall, stall);
-    if (devstats_) devstats_->on_wpq_stall(ctx.worker_id(), stall);
+  const uint64_t stall = write_behind(now, med, line);
+  if (stall > 0) {
+    record_stall(ctx, c, stats::Phase::kWpqStall, stall);
     ctx.advance(stall);
+  }
+}
+
+uint64_t Memory::write_behind(uint64_t now, Media med, uint64_t line) {
+  const CostModel& cm = cfg_.cost;
+  BandwidthChannel& wc = write_chan(med);
+  wc.request(now, cm.write_svc_ns(med));
+  if (devstats_) devstats_->on_media_write(media_index(med), line, now);
+  const auto threshold = static_cast<uint64_t>(cm.write_svc_ns(med) * cm.wpq_capacity);
+  const uint64_t backlog = wc.backlog_ns(now);
+  return backlog > threshold ? backlog - threshold : 0;
+}
+
+void Memory::record_stall(sim::ExecContext& ctx, stats::TxCounters* c, stats::Phase phase,
+                          uint64_t ns) {
+  const bool fence = phase == stats::Phase::kFenceWait;
+  if (c) {
+    if (fence) {
+      c->fence_wait_ns += ns;
+    } else {
+      c->wpq_stall_ns += ns;
+    }
+  }
+  stats::record_phase(c, phase, ns);
+  if (devstats_) {
+    if (fence) {
+      devstats_->on_fence_stall(ctx.worker_id(), ns);
+    } else {
+      devstats_->on_wpq_stall(ctx.worker_id(), ns);
+    }
+  }
+  if (stats::Trace::on()) {
+    stats::Trace::instance().span(ctx.worker_id(), stats::phase_name(phase), ctx.now_ns(), ns);
   }
 }
 
 void Memory::store_bytes(sim::ExecContext& ctx, stats::TxCounters* c, void* dst,
                          const void* src, size_t len, Space space) {
-  maybe_crash_event();
-  maybe_thread_fault(ctx);
-  model_addr(ctx, c, dst, len, /*is_write=*/true, space);
-  std::memcpy(dst, src, len);
-  if (cfg_.crash_sim) track_store(dst, len);
-  if (psan_) psan_store(ctx, dst, len, space);
-  if (rsan_) rsan_store(ctx, dst, len, space);
+  store_event(ctx, c, dst, len, space, [&] { std::memcpy(dst, src, len); });
+}
+
+void Memory::flush_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t line) {
+  const CostModel& cm = cfg_.cost;
+  const Media med = media_of(line, Space::kData);
+  ctx.advance(static_cast<uint64_t>(cm.clwb_issue_ns));
+  l3_.clean(line);
+  const uint64_t avail = wpq_.stall_until_ns(ctx.now_ns());
+  if (avail > ctx.now_ns()) {
+    record_stall(ctx, c, stats::Phase::kWpqStall, avail - ctx.now_ns());
+    ctx.advance_to(avail);
+  }
+  const uint64_t done = wpq_.enqueue(ctx.worker_id(), ctx.now_ns(), write_chan(med),
+                                     cm.write_svc_ns(med), cm.clwb_latency_ns(med));
+  if (devstats_) {
+    devstats_->on_media_write(media_index(med), line, ctx.now_ns());
+    devstats_->on_wpq_enqueue(ctx.worker_id(), wpq_.occupancy(ctx.now_ns()),
+                              done - ctx.now_ns());
+  }
 }
 
 void Memory::clwb(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr) {
   if (cfg_.domain != Domain::kAdr) return;  // eADR & friends elide flushes
   maybe_crash_event();
   maybe_thread_fault(ctx);
-  if (psan_) psan_->on_clwb(ctx.worker_id(), line_of(addr));
-  if (rsan_) rsan_->on_clwb(ctx.worker_id(), line_of(addr));
+  const uint64_t line = line_of(addr);
+  if (psan_) psan_->on_clwb(ctx.worker_id(), line);
+  if (rsan_) rsan_->on_clwb(ctx.worker_id(), line);
   if (c) {
     c->clwbs++;
-    const Media m = media_of(line_of(addr), Space::kData);
-    c->energy_pj += energy_.clwb_issue_pj + energy_.write_pj(m);
+    c->energy_pj += energy_.clwb_issue_pj + energy_.write_pj(media_of(line, Space::kData));
   }
-  const uint64_t line = line_of(addr);
-  const Media med = media_of(line, Space::kData);
-  const CostModel& cm = cfg_.cost;
-
   if (ctx.is_simulated()) {
-    ctx.advance(static_cast<uint64_t>(cm.clwb_issue_ns));
-    l3_.clean(line);
-    // Stall while the WPQ is full.
-    const uint64_t avail = wpq_.stall_until_ns(ctx.now_ns());
-    if (avail > ctx.now_ns()) {
-      const uint64_t stall = avail - ctx.now_ns();
-      if (c) c->wpq_stall_ns += stall;
-      stats::record_phase(c, stats::Phase::kWpqStall, stall);
-      if (devstats_) devstats_->on_wpq_stall(ctx.worker_id(), stall);
-      if (stats::Trace::on()) {
-        stats::Trace::instance().span(ctx.worker_id(), "wpq_stall", ctx.now_ns(), stall);
-      }
-      ctx.advance_to(avail);
-    }
-    const uint64_t done = wpq_.enqueue(ctx.worker_id(), ctx.now_ns(), write_chan(med),
-                                       cm.write_svc_ns(med), cm.clwb_latency_ns(med));
-    if (devstats_) {
-      devstats_->on_media_write(media_index(med), line, ctx.now_ns());
-      devstats_->on_wpq_enqueue(ctx.worker_id(), wpq_.occupancy(ctx.now_ns()),
-                                done - ctx.now_ns());
-      maybe_devstats_sample(ctx.now_ns());
-    }
+    flush_line(ctx, c, line);
+    if (devstats_) maybe_devstats_sample(ctx.now_ns());
   }
 
   if (cfg_.crash_sim) {
@@ -278,30 +265,9 @@ void Memory::clwb(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr)
 void Memory::persist_lines(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t first_line,
                            size_t nlines) {
   if (cfg_.domain != Domain::kAdr) return;
-  const CostModel& cm = cfg_.cost;
   if (c) c->clwbs += nlines;
   if (!ctx.is_simulated()) return;
-  for (size_t i = 0; i < nlines; i++) {
-    const uint64_t line = first_line + i;
-    const Media med = media_of(line, Space::kData);
-    ctx.advance(static_cast<uint64_t>(cm.clwb_issue_ns));
-    l3_.clean(line);
-    const uint64_t avail = wpq_.stall_until_ns(ctx.now_ns());
-    if (avail > ctx.now_ns()) {
-      const uint64_t stall = avail - ctx.now_ns();
-      if (c) c->wpq_stall_ns += stall;
-      stats::record_phase(c, stats::Phase::kWpqStall, stall);
-      if (devstats_) devstats_->on_wpq_stall(ctx.worker_id(), stall);
-      ctx.advance_to(avail);
-    }
-    const uint64_t done = wpq_.enqueue(ctx.worker_id(), ctx.now_ns(), write_chan(med),
-                                       cm.write_svc_ns(med), cm.clwb_latency_ns(med));
-    if (devstats_) {
-      devstats_->on_media_write(media_index(med), line, ctx.now_ns());
-      devstats_->on_wpq_enqueue(ctx.worker_id(), wpq_.occupancy(ctx.now_ns()),
-                                done - ctx.now_ns());
-    }
-  }
+  for (size_t i = 0; i < nlines; i++) flush_line(ctx, c, first_line + i);
   if (devstats_) maybe_devstats_sample(ctx.now_ns());
 }
 
@@ -320,13 +286,7 @@ void Memory::sfence(sim::ExecContext& ctx, stats::TxCounters* c) {
   if (ctx.is_simulated()) {
     const uint64_t drain = wpq_.worker_drain_ns(ctx.worker_id());
     if (drain > ctx.now_ns()) {
-      const uint64_t wait = drain - ctx.now_ns();
-      if (c) c->fence_wait_ns += wait;
-      stats::record_phase(c, stats::Phase::kFenceWait, wait);
-      if (devstats_) devstats_->on_fence_stall(ctx.worker_id(), wait);
-      if (stats::Trace::on()) {
-        stats::Trace::instance().span(ctx.worker_id(), "fence_wait", ctx.now_ns(), wait);
-      }
+      record_stall(ctx, c, stats::Phase::kFenceWait, drain - ctx.now_ns());
       ctx.advance_to(drain);
     }
     ctx.advance(static_cast<uint64_t>(cfg_.cost.sfence_ns));
@@ -349,8 +309,7 @@ void Memory::apply_pending_locked(const PendingLine& p) {
 
 void Memory::track_store(const void* addr, size_t len) {
   std::lock_guard<std::mutex> lk(track_mu_);
-  const uint64_t first = line_of(addr);
-  const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
+  const auto [first, last] = lines_of(addr, len);
   for (uint64_t line = first; line <= last; line++) {
     if (!test_and_set_dirty(line)) dirty_list_.push_back(line);
   }
@@ -406,7 +365,7 @@ void Memory::resolve_crash_image(util::Rng& rng) {
     for (const PendingLine* p : inflight) {
       const auto it = line_applied_seq_.find(p->line);
       if (it != line_applied_seq_.end() && it->second > p->seq) continue;
-      persist_unfenced(rng, p->line, p->bytes, cfg_.crash_pending_prob);
+      persist_unfenced(rng, p->line, p->bytes, kPendingCoin);
     }
     for (auto& pend : pending_) pend.clear();
     // Other dirty lines may have been spontaneously evicted (with whatever
@@ -414,7 +373,7 @@ void Memory::resolve_crash_image(util::Rng& rng) {
     for (uint64_t line : dirty_list_) {
       persist_unfenced(rng, line,
                        reinterpret_cast<const unsigned char*>(base_) + line * kLineBytes,
-                       cfg_.crash_evict_prob);
+                       kEvictCoin);
     }
   } else {
     // eADR / PDRAM / PDRAM-Lite: the reserve power flushes caches (and, for
@@ -445,8 +404,7 @@ void Memory::inject_media_fault(uint64_t line) {
 bool Memory::media_faulted(const void* addr, size_t len) const {
   std::lock_guard<std::mutex> lk(track_mu_);
   if (poisoned_lines_.empty()) return false;
-  const uint64_t first = line_of(addr);
-  const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
+  const auto [first, last] = lines_of(addr, len);
   for (uint64_t line : poisoned_lines_) {
     if (line >= first && line <= last) return true;
   }
@@ -570,7 +528,6 @@ void Memory::thread_fault_slow(sim::ExecContext& ctx) {
   }
   if (!any_pending) tf_armed_.store(false, std::memory_order_release);
   if (fire == nullptr) return;
-  tf_fired_.fetch_add(1, std::memory_order_relaxed);
   const int w = ctx.worker_id();
   if (fire->stall_ns == 0) {
     // The thread dies but the machine stays up: its in-flight writebacks
@@ -645,7 +602,7 @@ void Memory::clear_dirty_all() {
 }
 
 void Memory::prewarm_directory(uint64_t first_line, uint64_t nlines) {
-  if (cfg_.domain != Domain::kPdram || cfg_.media != Media::kOptane) return;
+  if (!directory_on()) return;
   for (uint64_t i = 0; i < nlines; i++) {
     dram_dir_.access(first_line + i, /*is_write=*/false);
   }

@@ -31,7 +31,6 @@
 #include "nvm/cache_model.h"
 #include "nvm/channel.h"
 #include "nvm/domain.h"
-#include "nvm/dram_cache.h"
 #include "nvm/energy.h"
 #include "nvm/wpq.h"
 #include "sim/context.h"
@@ -91,13 +90,9 @@ class Memory {
 
   void store_word(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t* addr, uint64_t val,
                   Space space) {
-    maybe_crash_event();
-    maybe_thread_fault(ctx);
-    model_addr(ctx, c, addr, 8, /*is_write=*/true, space);
-    std::atomic_ref<uint64_t>(*addr).store(val, std::memory_order_release);
-    if (cfg_.crash_sim) track_store(addr, 8);
-    if (psan_) psan_store(ctx, addr, 8, space);
-    if (rsan_) rsan_store(ctx, addr, 8, space);
+    store_event(ctx, c, addr, 8, space, [&] {
+      std::atomic_ref<uint64_t>(*addr).store(val, std::memory_order_release);
+    });
   }
 
   /// Bulk store with tracking/modelling (used by population and recovery;
@@ -112,12 +107,7 @@ class Memory {
   /// value overwrite a newer one.
   void account_store_in_place(sim::ExecContext& ctx, stats::TxCounters* c,
                               const uint64_t* addr, Space space) {
-    maybe_crash_event();
-    maybe_thread_fault(ctx);
-    model_addr(ctx, c, addr, 8, /*is_write=*/true, space);
-    if (cfg_.crash_sim) track_store(addr, 8);
-    if (psan_) psan_store(ctx, addr, 8, space);
-    if (rsan_) rsan_store(ctx, addr, 8, space);
+    store_event(ctx, c, addr, 8, space, [] {});
   }
 
   // ----- cache-footprint-only accesses (no real bytes) -----------------
@@ -233,11 +223,6 @@ class Memory {
   /// fenced (quarantined / deposed) while stalled and must die rather
   /// than resume. nullptr uninstalls.
   void set_fenced_probe(std::function<bool(int)> probe);
-
-  /// Thread faults fired so far (kills + stalls entered).
-  uint64_t thread_faults_fired() const {
-    return tf_fired_.load(std::memory_order_relaxed);
-  }
 
   /// Drain worker `w`'s clwb'd-but-unfenced WPQ entries into the persisted
   /// image, as its own sfence would. Called at thread-death points (the
@@ -366,6 +351,30 @@ class Memory {
   /// roll the persisted line back to its stale issue-time snapshot.
   void apply_pending_locked(const PendingLine& p);
 
+  static constexpr int kL3Ways = 16;
+
+  // First and last line of [addr, addr + len); an empty range is the line
+  // holding `addr`.
+  std::pair<uint64_t, uint64_t> lines_of(const void* addr, size_t len) const {
+    return {line_of(addr), line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0))};
+  }
+
+  // Every store is one persistence event: the crash and thread-fault
+  // countdowns and the timing model run before `write` executes it (a
+  // no-op for account_store_in_place, whose store already happened);
+  // crash tracking and the sanitizers observe it after.
+  template <class Write>
+  void store_event(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr, size_t len,
+                   Space space, Write&& write) {
+    maybe_crash_event();
+    maybe_thread_fault(ctx);
+    model_addr(ctx, c, addr, len, /*is_write=*/true, space);
+    write();
+    if (cfg_.crash_sim) track_store(addr, len);
+    if (psan_) psan_store(ctx, addr, len);
+    if (rsan_) rsan_store(ctx, addr, len, space);
+  }
+
   // Resolve timing + cache modelling for a real address range.
   void model_addr(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr, size_t len,
                   bool is_write, Space space);
@@ -377,15 +386,38 @@ class Memory {
   // Media that backs `line`/`space` under the current domain.
   Media media_of(uint64_t line, Space space) const;
 
-  // Asynchronous dirty-line writeback (L3 eviction): books the write
-  // channel; charges a stall only when the backlog exceeds WPQ capacity.
+  // PDRAM on Optane: every L3 miss and L3 writeback goes through the
+  // Memory-Mode DRAM-cache directory.
+  bool directory_on() const {
+    return cfg_.domain == Domain::kPdram && cfg_.media == Media::kOptane;
+  }
+
+  // Asynchronous dirty-line writeback (L3 eviction): written behind the
+  // access; charges a stall only for the backlog past WPQ capacity.
   void background_writeback(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t line);
+
+  // Write-behind: book one line write of `line` on `med`'s write channel
+  // at `now`, and return how far the channel's backlog now exceeds what
+  // the WPQ can absorb (0 when it fits). The caller charges that excess.
+  uint64_t write_behind(uint64_t now, Media med, uint64_t line);
+
+  // One clwb of `line` into the WPQ (DES only): issue cost, L3 clean,
+  // full-queue stall, enqueue and the devstats write/enqueue hooks. The
+  // caller takes its own devstats sample.
+  void flush_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t line);
+
+  // Record one modelled stall of `ns` (phase kWpqStall or kFenceWait) in
+  // every sink: TxCounters, the phase histogram, devstats and a trace span
+  // starting at the caller's clock. The caller charges the time itself
+  // (added to an access cost, advance or advance_to).
+  void record_stall(sim::ExecContext& ctx, stats::TxCounters* c, stats::Phase phase,
+                    uint64_t ns);
 
   void track_store(const void* addr, size_t len);
 
   // Out-of-line psan store hook (keeps the hot inline paths to one
   // pointer test when the sanitizer is off).
-  void psan_store(sim::ExecContext& ctx, const void* addr, size_t len, Space space);
+  void psan_store(sim::ExecContext& ctx, const void* addr, size_t len);
 
   // Out-of-line rsan access hooks (same single-pointer-test discipline).
   void rsan_load(sim::ExecContext& ctx, const void* addr, size_t len, Space space);
@@ -422,7 +454,8 @@ class Memory {
   // ADR only: decide (per the writeback adversary) whether an *unfenced*
   // line's content reaches the image, and copy it — whole when line-
   // atomic, or a random 8-byte-word subset under torn_stores. `prob` is
-  // the kRandom mode's coin. Caller holds track_mu_.
+  // the kRandom mode's coin (kPendingCoin or kEvictCoin). Caller holds
+  // track_mu_.
   void persist_unfenced(util::Rng& rng, uint64_t line, const unsigned char* src,
                         double prob);
 
@@ -457,7 +490,7 @@ class Memory {
 
   // Timing models (DES only; single worker runs at a time, so unguarded).
   CacheModel l3_;
-  DramCacheDirectory dram_dir_;
+  CacheModel dram_dir_;  // 1-way: the Memory-Mode directory
   Wpq wpq_;
   BandwidthChannel dram_read_, dram_write_, optane_read_, optane_write_;
 
@@ -503,7 +536,6 @@ class Memory {
   };
   std::atomic<bool> tf_armed_{false};
   ThreadFault tf_[2];
-  std::atomic<uint64_t> tf_fired_{0};
   std::atomic<uint64_t> tf_stalled_mask_{0};  // workers parked in a stall fault
   std::function<bool(int)> fenced_probe_;
 

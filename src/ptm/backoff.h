@@ -5,9 +5,9 @@
 // The draw must never collapse to zero — two conflicting workers whose
 // draws are both 0 ns would retry at the same simulated instant forever —
 // so the wait is clamped to at least one `base`. The ceiling is capped at
-// SystemConfig::backoff_max_ns with jitter below the cap (capped retriers
-// must stay desynchronized): an unbounded draw could park a live worker
-// past the containment lease timeout and past any watchdog interval.
+// kBackoffMaxNs with jitter below the cap (capped retriers must stay
+// desynchronized): an unbounded draw could park a live worker past the
+// containment lease timeout and past any watchdog interval.
 //
 // RNG-sequence contract: the jitter draw happens only when the cap binds,
 // which it never does at the default base/cap values — default-config
@@ -22,6 +22,12 @@
 #include "util/rng.h"
 
 namespace ptm {
+
+/// Ceiling for the randomized abort backoff Tx::handle_abort draws. It
+/// never binds at the default backoff_base_ns (150ns << 10 max shift =
+/// 153600 < 1 MiB-ns), keeping default-config runs byte-identical, but a
+/// contended worker cannot back off past a containment watchdog timeout.
+inline constexpr uint64_t kBackoffMaxNs = 1ull << 20;
 
 /// One backoff draw for retry number `attempt` (1-based): uniform in
 /// [0, base << min(attempt, 10)], clamped to >= base, capped to

@@ -8,71 +8,25 @@
 #include <cassert>
 
 #include "analysis/psan.h"
-#include "analysis/rsan.h"
-#include "ptm/containment.h"
 #include "ptm/runtime.h"
 #include "ptm/tx.h"
 
 namespace ptm {
 
 uint64_t Tx::eager_read(const uint64_t* waddr) {
-  nvm::Pool& pool = rt_->pool();
   std::atomic<uint64_t>& orec = rt_->orecs().for_addr(waddr);
-  const auto me = static_cast<uint32_t>(worker_);
-
   const uint64_t v1 = orec.load(std::memory_order_acquire);
-  if (OrecTable::is_locked(v1)) {
-    if (OrecTable::owner_of(v1) == me) {
-      // We own it: the in-place value is ours.
-      return pool.mem().load_word(*ctx_, c_, waddr, nvm::Space::kData);
-    }
-    // Containment: reclaim a dead owner's lock before giving up.
-    if (cm_) cm_->on_locked_orec(OrecTable::owner_of(v1), *ctx_, c_);
-    abort_tx(stats::AbortCause::kConflictRead);
+  if (OrecTable::is_locked(v1) && OrecTable::owner_of(v1) == static_cast<uint32_t>(worker_)) {
+    // We own it: the in-place value is ours.
+    return rt_->pool().mem().load_word(*ctx_, c_, waddr, nvm::Space::kData);
   }
-  // rsan: a speculative read is invisible to later writers (no HB edge);
-  // isolation is discharged by the orec revalidation just below, so the
-  // race check is suppressed for this load and replaced by a validated-read
-  // edge once v1 == v2 holds.
-  analysis::Rsan::ReadScope rsan_read(rsan_, worker_);
-  const uint64_t val = pool.mem().load_word(*ctx_, c_, waddr, nvm::Space::kData);
-  const uint64_t v2 = orec.load(std::memory_order_acquire);
-  if (v1 != v2 || OrecTable::version_of(v1) > start_time_) {
-    abort_tx(stats::AbortCause::kConflictRead);
-  }
-  if (rsan_) rsan_->on_validated_read(worker_, &orec);
-  read_set_.emplace_back(&orec, v1);
-  return val;
+  return validated_read(orec, v1, waddr);
 }
 
 void Tx::eager_write(uint64_t* waddr, uint64_t val) {
   nvm::Pool& pool = rt_->pool();
   nvm::Memory& mem = pool.mem();
-  const nvm::CostModel& cm = pool.config().cost;
-  OrecTable& orecs = rt_->orecs();
-  const auto me = static_cast<uint32_t>(worker_);
-
-  std::atomic<uint64_t>& orec = orecs.for_addr(waddr);
-  const uint64_t cur = orec.load(std::memory_order_acquire);
-  if (OrecTable::is_locked(cur)) {
-    if (OrecTable::owner_of(cur) != me) {
-      // Containment: reclaim a dead owner's lock before giving up.
-      if (cm_) cm_->on_locked_orec(OrecTable::owner_of(cur), *ctx_, c_);
-      abort_tx(stats::AbortCause::kConflictWrite);
-    }
-  } else {
-    if (OrecTable::version_of(cur) > start_time_) {
-      abort_tx(stats::AbortCause::kConflictWrite);
-    }
-    uint64_t expected = cur;
-    ctx_->advance(static_cast<uint64_t>(cm.cas_ns));
-    if (!orec.compare_exchange_strong(expected, OrecTable::lock_word(me),
-                                      std::memory_order_acq_rel)) {
-      abort_tx(stats::AbortCause::kConflictWrite);
-    }
-    if (rsan_) rsan_->on_orec_acquire(worker_, &orec);
-    owned_.push_back(OwnedOrec{&orec, cur});
-  }
+  acquire_orec(rt_->orecs().for_addr(waddr));
 
   // Log the old value; the record (and, on the first write, the ACTIVE
   // status) must persist before the in-place store — hence one fence per

@@ -7,8 +7,6 @@
 // to undo for all workloads with non-trivial write sets.
 #include <cassert>
 
-#include "analysis/rsan.h"
-#include "ptm/containment.h"
 #include "ptm/runtime.h"
 #include "ptm/tx.h"
 
@@ -27,27 +25,7 @@ uint64_t Tx::lazy_read(const uint64_t* waddr) {
   }
 
   std::atomic<uint64_t>& orec = rt_->orecs().for_addr(waddr);
-  const uint64_t v1 = orec.load(std::memory_order_acquire);
-  if (OrecTable::is_locked(v1)) {
-    // Containment: if the owner's lease expired and it is provably gone,
-    // reclaim its transaction so the retry can make progress. This attempt
-    // still aborts either way — the retry revalidates from scratch.
-    if (cm_) cm_->on_locked_orec(OrecTable::owner_of(v1), *ctx_, c_);
-    abort_tx(stats::AbortCause::kConflictRead);
-  }
-  // rsan: a speculative read is invisible to later writers (no HB edge);
-  // isolation is discharged by the orec revalidation just below, so the
-  // race check is suppressed for this load and replaced by a validated-read
-  // edge once v1 == v2 holds.
-  analysis::Rsan::ReadScope rsan_read(rsan_, worker_);
-  const uint64_t val = pool.mem().load_word(*ctx_, c_, waddr, nvm::Space::kData);
-  const uint64_t v2 = orec.load(std::memory_order_acquire);
-  if (v1 != v2 || OrecTable::version_of(v1) > start_time_) {
-    abort_tx(stats::AbortCause::kConflictRead);
-  }
-  if (rsan_) rsan_->on_validated_read(worker_, &orec);
-  read_set_.emplace_back(&orec, v1);
-  return val;
+  return validated_read(orec, orec.load(std::memory_order_acquire), waddr);
 }
 
 void Tx::lazy_write(uint64_t* waddr, uint64_t val) {
@@ -87,32 +65,11 @@ void Tx::lazy_commit() {
     return;
   }
 
-  OrecTable& orecs = rt_->orecs();
-  const auto me = static_cast<uint32_t>(worker_);
-
-  // 1. Acquire the write set's orecs (abort-on-conflict, no waiting).
+  // 1. Acquire the write set's orecs (abort-on-conflict, no waiting;
+  // handle_abort restores the orecs acquired so far).
   for (size_t i = 0; i < n_log_; i++) {
     auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(slot_.entry_at(i)->off)));
-    std::atomic<uint64_t>& orec = orecs.for_addr(home);
-    const uint64_t cur = orec.load(std::memory_order_acquire);
-    if (OrecTable::is_locked(cur)) {
-      if (OrecTable::owner_of(cur) == me) continue;  // hash collision / dup
-      // Containment: reclaim a dead owner's lock before giving up.
-      if (cm_) cm_->on_locked_orec(OrecTable::owner_of(cur), *ctx_, c_);
-      // handle_abort restores the orecs acquired so far
-      abort_tx(stats::AbortCause::kConflictWrite);
-    }
-    if (OrecTable::version_of(cur) > start_time_) {
-      abort_tx(stats::AbortCause::kConflictWrite);
-    }
-    uint64_t expected = cur;
-    ctx_->advance(static_cast<uint64_t>(cm.cas_ns));
-    if (!orec.compare_exchange_strong(expected, OrecTable::lock_word(me),
-                                      std::memory_order_acq_rel)) {
-      abort_tx(stats::AbortCause::kConflictWrite);
-    }
-    if (rsan_) rsan_->on_orec_acquire(worker_, &orec);
-    owned_.push_back(OwnedOrec{&orec, cur});
+    acquire_orec(rt_->orecs().for_addr(home));
   }
 
   // 2. Timestamp, validation, seal, write-back, retire, release.

@@ -172,8 +172,7 @@ void Tx::handle_abort() {
   // ptm/backoff.h).
   attempt_++;
   const auto base = static_cast<uint64_t>(rt_->pool().config().cost.backoff_base_ns);
-  ctx_->advance(
-      backoff_wait_ns(attempt_, base, rt_->pool().config().backoff_max_ns, rng_));
+  ctx_->advance(backoff_wait_ns(attempt_, base, kBackoffMaxNs, rng_));
 }
 
 void Tx::mark_killed() {
@@ -438,6 +437,52 @@ void Tx::retire_logs() {
                              "data must be durable before the log retires to IDLE");
   n_alloc_log_ = 0;
   epoch_ = retire_slot(rt_->pool(), *ctx_, c_, slot_, epoch_ + 1);
+}
+
+uint64_t Tx::validated_read(std::atomic<uint64_t>& orec, uint64_t v1, const uint64_t* waddr) {
+  if (OrecTable::is_locked(v1)) {
+    // Containment: if the owner's lease expired and it is provably gone,
+    // reclaim its transaction so the retry can make progress. This attempt
+    // still aborts either way — the retry revalidates from scratch.
+    if (cm_) cm_->on_locked_orec(OrecTable::owner_of(v1), *ctx_, c_);
+    abort_tx(stats::AbortCause::kConflictRead);
+  }
+  // rsan: a speculative read is invisible to later writers (no HB edge);
+  // isolation is discharged by the orec revalidation just below, so the
+  // race check is suppressed for this load and replaced by a validated-read
+  // edge once v1 == v2 holds.
+  analysis::Rsan::ReadScope rsan_read(rsan_, worker_);
+  const uint64_t val = rt_->pool().mem().load_word(*ctx_, c_, waddr, nvm::Space::kData);
+  const uint64_t v2 = orec.load(std::memory_order_acquire);
+  if (v1 != v2 || OrecTable::version_of(v1) > start_time_) {
+    abort_tx(stats::AbortCause::kConflictRead);
+  }
+  if (rsan_) rsan_->on_validated_read(worker_, &orec);
+  read_set_.emplace_back(&orec, v1);
+  return val;
+}
+
+void Tx::acquire_orec(std::atomic<uint64_t>& orec) {
+  const auto me = static_cast<uint32_t>(worker_);
+  const uint64_t cur = orec.load(std::memory_order_acquire);
+  if (OrecTable::is_locked(cur)) {
+    // Already ours: a repeated write, or two addresses hashing to one orec.
+    if (OrecTable::owner_of(cur) == me) return;
+    // Containment: reclaim a dead owner's lock before giving up.
+    if (cm_) cm_->on_locked_orec(OrecTable::owner_of(cur), *ctx_, c_);
+    abort_tx(stats::AbortCause::kConflictWrite);
+  }
+  if (OrecTable::version_of(cur) > start_time_) {
+    abort_tx(stats::AbortCause::kConflictWrite);
+  }
+  uint64_t expected = cur;
+  ctx_->advance(static_cast<uint64_t>(rt_->pool().config().cost.cas_ns));
+  if (!orec.compare_exchange_strong(expected, OrecTable::lock_word(me),
+                                    std::memory_order_acq_rel)) {
+    abort_tx(stats::AbortCause::kConflictWrite);
+  }
+  if (rsan_) rsan_->on_orec_acquire(worker_, &orec);
+  owned_.push_back(OwnedOrec{&orec, cur});
 }
 
 bool Tx::validate_read_set() const {

@@ -225,6 +225,16 @@ class Tx {
   void write_back(bool timed);
 
   // shared helpers (tx.cpp)
+
+  /// The orec-validated read both algorithms share: abort on a lock held
+  /// by another transaction (after offering containment a reclaim), load,
+  /// revalidate against `v1` (the orec word read before the load) and the
+  /// start time, then record the read. Undo's own-lock shortcut runs
+  /// before this.
+  uint64_t validated_read(std::atomic<uint64_t>& orec, uint64_t v1, const uint64_t* waddr);
+  /// Lock `orec` for this transaction (no-op when already ours); aborts
+  /// on a conflict or a version newer than the start time.
+  void acquire_orec(std::atomic<uint64_t>& orec);
   void append_log(uint64_t off, uint64_t val);
   void append_alloc_word(uint64_t* entry, uint64_t word);
   void persist_log_range(sim::ExecContext& ctx, stats::TxCounters* c,

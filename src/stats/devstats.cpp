@@ -1,7 +1,5 @@
 #include "stats/devstats.h"
 
-#include <cstdlib>
-
 #include "stats/trace.h"
 
 namespace stats {
@@ -19,19 +17,7 @@ const char* channel_name(size_t i) {
 DevStats::DevStats(int max_workers)
     // +1: Memory hooks can run outside any worker (setup/recovery contexts
     // report high ids); they map onto the last slot, mirroring Psan.
-    : workers_(static_cast<size_t>(max_workers) + 1) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-  if (const char* s = std::getenv("REPRO_DEVSTATS_SAMPLE_NS")) {
-    const long long v = std::atoll(s);
-    if (v > 0) sample_interval_ns_ = static_cast<uint64_t>(v);
-  }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-  if (const char* s = std::getenv("REPRO_DEVSTATS_DRAIN_NS")) {
-    const long long v = std::atoll(s);
-    if (v > 0) drain_window_ns_ = static_cast<uint64_t>(v);
-  }
-  next_sample_ns_ = sample_interval_ns_;
-}
+    : workers_(static_cast<size_t>(max_workers) + 1) {}
 
 void DevStats::account_eviction(const XpEntry& e) {
   c_.xpline_writes++;
@@ -42,7 +28,7 @@ void DevStats::account_eviction(const XpEntry& e) {
 void DevStats::drain(uint64_t now_ns) {
   for (XpEntry& e : buf_) {
     if (e.xpline == XpEntry::kNone) continue;
-    if (now_ns < e.insert_ns + drain_window_ns_) continue;
+    if (now_ns < e.insert_ns + kDefaultDrainWindowNs) continue;
     account_eviction(e);
     c_.xpbuffer_drains++;
     e.xpline = XpEntry::kNone;
@@ -144,7 +130,7 @@ void DevStats::emit_counters(Trace& trace, uint64_t now_ns, uint64_t wpq_occupan
   prev_hits_ = c_.xpbuffer_hits;
   prev_misses_ = c_.xpbuffer_misses;
   prev_sample_ns_ = now_ns;
-  next_sample_ns_ = now_ns + sample_interval_ns_;
+  next_sample_ns_ = now_ns + kDefaultSampleIntervalNs;
 }
 
 double DevStats::snapshot_wa_estimate() const {

@@ -165,9 +165,8 @@ class DevStats {
   /// within this window of its insertion — a hot line rewritten every few
   /// microseconds pays a media write each time, which is why real-device
   /// write amplification stays >= 1 even for cache-resident workloads.
-  /// Override with REPRO_DEVSTATS_DRAIN_NS.
   static constexpr uint64_t kDefaultDrainWindowNs = 1000;
-  /// Default simulated-time distance between trace counter samples.
+  /// Simulated-time distance between trace counter samples.
   static constexpr uint64_t kDefaultSampleIntervalNs = 32768;
 
   explicit DevStats(int max_workers);
@@ -237,12 +236,10 @@ class DevStats {
   DeviceCounters c_;  // running totals (buffer contents not yet included)
   std::array<XpEntry, kXpBufferEntries> buf_{};
   uint64_t lru_clock_ = 0;
-  uint64_t drain_window_ns_ = kDefaultDrainWindowNs;
   std::vector<PerWorker> workers_;
 
   // Sampler state.
-  uint64_t sample_interval_ns_ = kDefaultSampleIntervalNs;
-  uint64_t next_sample_ns_ = 0;
+  uint64_t next_sample_ns_ = kDefaultSampleIntervalNs;
   uint64_t prev_sample_ns_ = 0;
   uint64_t prev_hits_ = 0, prev_misses_ = 0;
   std::array<uint64_t, kNumChannels> prev_busy_ns_{};

@@ -2,13 +2,13 @@
 
 #include <atomic>
 
-#include "util/env.h"
-
 namespace stats {
 
 namespace {
 
-std::atomic<bool> g_telemetry{util::env_on("REPRO_TELEMETRY")};
+// Constant-initialized, so callers may switch it during static
+// initialization (bench_common.h does, for REPRO_JSON).
+constinit std::atomic<bool> g_telemetry{false};
 
 }  // namespace
 

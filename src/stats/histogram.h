@@ -10,8 +10,8 @@
 // Telemetry is **off by default**: every record site first checks
 // `telemetry_enabled()` (one relaxed atomic load), so flat-counter-only
 // runs pay no measurable cost and stay bit-identical to pre-telemetry
-// output under the deterministic engine. Enable programmatically or with
-// REPRO_TELEMETRY=1 (REPRO_JSON implies it in the bench harness).
+// output under the deterministic engine. Enable programmatically; the
+// bench harness enables it for REPRO_JSON.
 #pragma once
 
 #include <array>
@@ -23,8 +23,7 @@
 
 namespace stats {
 
-/// Global telemetry switch (relaxed atomic; initialized from the
-/// REPRO_TELEMETRY environment variable on first use).
+/// Global telemetry switch (relaxed atomic, off until set).
 bool telemetry_enabled();
 void set_telemetry_enabled(bool on);
 

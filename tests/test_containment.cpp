@@ -22,7 +22,7 @@
 //  * Epoch leader takeover: killing a drain leader mid-epoch must let a
 //    survivor steal the expired leadership lease and finish the drain.
 //
-//  * Backoff cap: the pinned contract for SystemConfig::backoff_max_ns
+//  * Backoff cap: the pinned contract for ptm::kBackoffMaxNs
 //    (ptm/backoff.h) — capped draws land in [cap - cap/8, cap] with real
 //    jitter, and the default base/cap never bind, preserving the exact
 //    pre-cap rng sequence (default-config byte-identity).
@@ -439,14 +439,14 @@ TEST(Containment, EpochLeaderTakeover) {
   }
 }
 
-// ----- backoff cap (SystemConfig::backoff_max_ns) ------------------------
+// ----- backoff cap (ptm::kBackoffMaxNs) -----------------------------------
 
 TEST(Backoff, DefaultCapNeverBindsSameRngSequence) {
   // The default base/cap must reproduce the pre-cap policy draw-for-draw:
   // one bounded draw per abort, no jitter draw, identical waits.
   const nvm::SystemConfig cfg;  // defaults
   const auto base = static_cast<uint64_t>(cfg.cost.backoff_base_ns);
-  const uint64_t cap = cfg.backoff_max_ns;
+  const uint64_t cap = ptm::kBackoffMaxNs;
   ASSERT_LE(base << 10, cap) << "default cap would bind; byte-identity broken";
 
   util::Rng capped(42), replica(42);

@@ -4,8 +4,12 @@
 // discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "nvm/pool.h"
 #include "sim/engine.h"
+#include "stats/trace.h"
 #include "test_common.h"
 
 namespace {
@@ -152,10 +156,38 @@ TEST(VirtualLines, BehaveLikeRealLinesInTheModel) {
   EXPECT_EQ(c.l3_hits, 64u);
 }
 
+// Telemetry and the trace recorder on for one test; both global switches
+// are restored (and the rings cleared) afterwards.
+struct TraceOn {
+  bool telemetry = stats::telemetry_enabled();
+  bool trace = stats::Trace::on();
+  TraceOn() {
+    stats::set_telemetry_enabled(true);
+    stats::Trace::instance().clear();
+    stats::Trace::instance().enable();
+  }
+  ~TraceOn() {
+    stats::set_telemetry_enabled(telemetry);
+    stats::Trace::instance().clear();
+    if (!trace) stats::Trace::instance().disable();
+  }
+};
+
+size_t count_spans(const std::string& trace_json, const std::string& name) {
+  const std::string key = "\"name\":\"" + name + "\"";
+  size_t n = 0;
+  for (size_t at = trace_json.find(key); at != std::string::npos;
+       at = trace_json.find(key, at + key.size())) {
+    n++;
+  }
+  return n;
+}
+
 TEST(Wpq, BackpressureStallsRecordedInCounters) {
   auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane);
   cfg.cost.wpq_capacity = 4;  // tiny queue: bursts must stall
   nvm::Pool pool(cfg);
+  const TraceOn on;
   stats::TxCounters c;
   sim::Engine e(1);
   e.run([&](sim::ExecContext& ctx) {
@@ -165,9 +197,20 @@ TEST(Wpq, BackpressureStallsRecordedInCounters) {
       pool.mem().clwb(ctx, &c, pool.heap_base() + i * 64);
     }
     pool.mem().sfence(ctx, &c);
+    // The same burst on virtual payload lines (persist_lines).
+    pool.mem().persist_lines(ctx, &c, pool.mem().virtual_line_base(), 64);
+    pool.mem().sfence(ctx, &c);
   });
   EXPECT_GT(c.wpq_stall_ns, 0u);
   EXPECT_GT(c.fence_wait_ns, 0u);
+
+  // Every stall lands in every sink: one trace span per histogram sample.
+  std::ostringstream os;
+  stats::Trace::instance().write_json(os);
+  const uint64_t stalls = c.phases[stats::Phase::kWpqStall].count();
+  EXPECT_GT(stalls, 0u);
+  EXPECT_EQ(count_spans(os.str(), "wpq_stall"), stalls);
+  EXPECT_EQ(count_spans(os.str(), "fence_wait"), c.phases[stats::Phase::kFenceWait].count());
 }
 
 TEST(MemoryModel, RealContextChargesNoModelTime) {

@@ -2,7 +2,6 @@
 
 #include "nvm/cache_model.h"
 #include "nvm/channel.h"
-#include "nvm/dram_cache.h"
 #include "nvm/pool.h"
 #include "nvm/wpq.h"
 #include "sim/engine.h"
@@ -102,7 +101,7 @@ TEST(CacheModel, CleanDropsDirtyBit) {
 }
 
 TEST(DramCache, DirectMappedConflict) {
-  nvm::DramCacheDirectory dir(64 * 8);  // 8 slots
+  nvm::CacheModel dir(64 * 8, 1);  // the directory: 8 one-way sets
   EXPECT_FALSE(dir.access(3, true).hit);
   EXPECT_TRUE(dir.access(3, false).hit);
   // 3 and 11 collide (11 % 8 == 3): dirty victim reported.
@@ -287,8 +286,7 @@ TEST(MemoryTiming, TouchLinesModelsVirtualPayloads) {
 
 TEST(CrashSim, AdrUnflushedStoreIsLost) {
   auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane, /*crash_sim=*/true);
-  cfg.crash_evict_prob = 0.0;  // strict adversary: nothing persists uninvited
-  cfg.crash_pending_prob = 0.0;
+  cfg.writeback_adversary = nvm::WritebackAdversary::kNone;  // nothing persists uninvited
   nvm::Pool pool(cfg);
   sim::RealContext ctx;
   auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
@@ -300,8 +298,7 @@ TEST(CrashSim, AdrUnflushedStoreIsLost) {
 
 TEST(CrashSim, AdrFencedStoreSurvives) {
   auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane, /*crash_sim=*/true);
-  cfg.crash_evict_prob = 0.0;
-  cfg.crash_pending_prob = 0.0;
+  cfg.writeback_adversary = nvm::WritebackAdversary::kNone;
   nvm::Pool pool(cfg);
   sim::RealContext ctx;
   auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
@@ -314,10 +311,9 @@ TEST(CrashSim, AdrFencedStoreSurvives) {
 }
 
 TEST(CrashSim, AdrClwbWithoutFenceMayOrMayNotPersist) {
-  for (const double prob : {0.0, 1.0}) {
+  for (const auto adv : {nvm::WritebackAdversary::kNone, nvm::WritebackAdversary::kAll}) {
     auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane, /*crash_sim=*/true);
-    cfg.crash_evict_prob = 0.0;
-    cfg.crash_pending_prob = prob;
+    cfg.writeback_adversary = adv;
     nvm::Pool pool(cfg);
     sim::RealContext ctx;
     auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
@@ -325,7 +321,7 @@ TEST(CrashSim, AdrClwbWithoutFenceMayOrMayNotPersist) {
     pool.mem().clwb(ctx, nullptr, w);  // no fence
     util::Rng rng(1);
     pool.simulate_power_failure(rng);
-    EXPECT_EQ(*w, prob == 1.0 ? 42u : 0u);
+    EXPECT_EQ(*w, adv == nvm::WritebackAdversary::kAll ? 42u : 0u);
   }
 }
 
@@ -342,8 +338,7 @@ TEST(CrashSim, EadrEverythingPersists) {
 
 TEST(CrashSim, ClwbCapturesContentAtFlushTime) {
   auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane, /*crash_sim=*/true);
-  cfg.crash_evict_prob = 0.0;
-  cfg.crash_pending_prob = 0.0;
+  cfg.writeback_adversary = nvm::WritebackAdversary::kNone;
   nvm::Pool pool(cfg);
   sim::RealContext ctx;
   auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
@@ -359,8 +354,7 @@ TEST(CrashSim, ClwbCapturesContentAtFlushTime) {
 
 TEST(CrashSim, CheckpointMakesStateDurable) {
   auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane, /*crash_sim=*/true);
-  cfg.crash_evict_prob = 0.0;
-  cfg.crash_pending_prob = 0.0;
+  cfg.writeback_adversary = nvm::WritebackAdversary::kNone;
   nvm::Pool pool(cfg);
   sim::RealContext ctx;
   auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
