@@ -29,7 +29,7 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
       // Leave a guard gap so pool lines and synthetic lines never collide.
       virt_base_line_(num_lines_ + (1ull << 20)),
       l3_(cfg.l3_bytes, kL3Ways),
-      dram_dir_(cfg.dram_cache_bytes, 1),
+      dram_dir_(directory_on() ? cfg.dram_cache_bytes : 0, 1),
       wpq_(cfg.cost.wpq_capacity, cfg.max_workers) {
   if (cfg_.crash_sim) {
     image_.reset(new unsigned char[size_]);

@@ -490,7 +490,7 @@ class Memory {
 
   // Timing models (DES only; single worker runs at a time, so unguarded).
   CacheModel l3_;
-  CacheModel dram_dir_;  // 1-way: the Memory-Mode directory
+  CacheModel dram_dir_;  // 1-way: the Memory-Mode directory; one line unless directory_on()
   Wpq wpq_;
   BandwidthChannel dram_read_, dram_write_, optane_read_, optane_write_;
 

@@ -15,9 +15,13 @@
 // the lifetime of the process, and crash simulation reverts *contents* (via
 // Memory's persisted image) rather than remapping. Log records that must
 // survive recovery store pool offsets, not pointers.
+//
+// A fresh pool reads as all zeroes (bump-allocated log records rely on it),
+// but only the pages a run touches become resident: see Pool::Pool.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 #include "nvm/memory.h"
@@ -40,12 +44,11 @@ class Pool {
   static constexpr size_t kRootBytes = 4096;
 
   explicit Pool(const SystemConfig& cfg);
-  ~Pool();
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  char* base() { return base_; }
+  char* base() const { return base_.get(); }
   size_t size() const { return cfg_.pool_size; }
 
   /// Application root area, cast to the application's root type. The root
@@ -54,27 +57,28 @@ class Pool {
   T* root() {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(sizeof(T) <= kRootBytes, "root type too large for root area");
-    return reinterpret_cast<T*>(base_ + kHeaderBytes);
+    return reinterpret_cast<T*>(base() + kHeaderBytes);
   }
 
   /// Per-worker runtime metadata slot (the PTM runtime carves this up).
   char* worker_meta(int worker) {
-    return base_ + header()->meta_off + static_cast<uint64_t>(worker) * header()->meta_per_worker;
+    return base() + header()->meta_off +
+           static_cast<uint64_t>(worker) * header()->meta_per_worker;
   }
   size_t worker_meta_bytes() const { return cfg_.per_worker_meta_bytes; }
 
-  char* heap_base() { return base_ + header()->heap_off; }
+  char* heap_base() { return base() + header()->heap_off; }
   size_t heap_bytes() const { return cfg_.pool_size - header()->heap_off; }
 
-  PoolHeader* header() { return reinterpret_cast<PoolHeader*>(base_); }
-  const PoolHeader* header() const { return reinterpret_cast<const PoolHeader*>(base_); }
+  PoolHeader* header() { return reinterpret_cast<PoolHeader*>(base()); }
+  const PoolHeader* header() const { return reinterpret_cast<const PoolHeader*>(base()); }
 
   uint64_t offset_of(const void* p) const {
-    return static_cast<uint64_t>(static_cast<const char*>(p) - base_);
+    return static_cast<uint64_t>(static_cast<const char*>(p) - base());
   }
-  void* at(uint64_t off) { return base_ + off; }
+  void* at(uint64_t off) { return base() + off; }
   bool contains(const void* p) const {
-    return p >= base_ && p < base_ + cfg_.pool_size;
+    return p >= base() && p < base() + cfg_.pool_size;
   }
 
   Memory& mem() { return *mem_; }
@@ -88,8 +92,14 @@ class Pool {
   void simulate_power_failure(util::Rng& rng) { mem_->simulate_power_failure(rng); }
 
  private:
+  struct FreeBlock {
+    void operator()(char* p) const { std::free(p); }
+  };
+
   SystemConfig cfg_;
-  char* base_ = nullptr;
+  // Declared before mem_, which points into the block: the block outlives
+  // the memory model, and is freed if Memory's constructor throws.
+  std::unique_ptr<char, FreeBlock> base_;
   std::unique_ptr<Memory> mem_;
 };
 

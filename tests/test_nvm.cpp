@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstring>
+#include <fstream>
+
 #include "nvm/cache_model.h"
 #include "nvm/channel.h"
 #include "nvm/pool.h"
@@ -140,6 +147,63 @@ TEST(Pool, RootAreaIsStable) {
   };
   pool.root<R>()->a = 77;
   EXPECT_EQ(pool.root<R>()->a, 77u);
+}
+
+namespace {
+
+// Resident set of this process, from /proc/self/statm's second field.
+int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+// Offset of the first nonzero byte past the header, or pool.size().
+size_t first_nonzero_past_header(nvm::Pool& pool) {
+  const char* begin = pool.base() + nvm::Pool::kHeaderBytes;
+  const char* end = pool.base() + pool.size();
+  return static_cast<size_t>(std::find_if(begin, end, [](char c) { return c != 0; }) -
+                             pool.base());
+}
+
+}  // namespace
+
+TEST(Pool, HostMemoryScalesWithTouchedPages) {
+  // Eagerly zeroing this pool and filling a directory eADR never reads
+  // would make ~320 MiB resident; only the pages in use should be.
+  auto cfg = test::small_cfg(nvm::Domain::kEadr);
+  cfg.pool_size = 256ull << 20;
+  cfg.dram_cache_bytes = 256ull << 20;
+  const int64_t before = resident_bytes();
+  nvm::Pool pool(cfg);
+  EXPECT_LT(resident_bytes() - before, int64_t{32} << 20);
+}
+
+TEST(Pool, FreshPoolReadsZero) {
+  // Bump-allocated log records and status words rely on a fresh pool
+  // reading as zero past its header, however it was zeroed: eagerly
+  // (crash_sim) or on demand, and in a block the allocator recycled.
+#ifdef __GLIBC__
+  // Pools this small then come from the heap rather than a fresh mapping,
+  // and a freed block stays in the heap, so the second pool below reuses
+  // the dirtied block of the first.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+  for (const bool crash_sim : {false, true}) {
+    SCOPED_TRACE(crash_sim ? "crash_sim" : "no crash_sim");
+    auto cfg = test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane, crash_sim);
+    cfg.pool_size = (4ull << 20) + 1000;  // ends in a partial page
+    {
+      nvm::Pool dirty(cfg);
+      EXPECT_EQ(first_nonzero_past_header(dirty), dirty.size());
+      std::memset(dirty.base() + nvm::Pool::kHeaderBytes, 0xA5,
+                  dirty.size() - nvm::Pool::kHeaderBytes);
+    }
+    nvm::Pool pool(cfg);
+    EXPECT_EQ(first_nonzero_past_header(pool), pool.size());
+  }
 }
 
 // ------------------------------------------------- memory timing (DES)
