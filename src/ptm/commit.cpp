@@ -126,14 +126,15 @@ bool Tx::seal_payload(sim::ExecContext& ctx, stats::TxCounters* c) {
 void Tx::check_payload_persisted() {
   // Ordering point (commit seal): everything batch A flushed must be
   // durable before the COMMITTED record — recovery must never see a commit
-  // whose effects it cannot reproduce. Redo: the whole log and its header,
-  // or replay applies garbage. Undo: every in-place write; its header was
-  // checked durable before each in-place store (eager_write), and its
-  // COMMITTED store is batch C's, so it is not batch A's to check.
+  // whose effects it cannot reproduce. Redo: every copy of the log and the
+  // primary header, or replay applies garbage. Undo: every in-place write;
+  // its header was checked durable before each in-place store
+  // (eager_write), and its COMMITTED store is batch C's, so it is not
+  // batch A's to check.
   if (algo_ == Algo::kOrecLazy) {
     psan_check_log_persisted(0, n_log_, analysis::DiagKind::kMissingFlush,
                              "redo record unpersisted at commit seal");
-    psan_check_header_persisted(analysis::DiagKind::kMissingFlush,
+    psan_check_header_persisted(SlotLayout::kPrimary, analysis::DiagKind::kMissingFlush,
                                 "slot header unpersisted at commit seal");
   } else {
     psan_check_dirty_persisted(analysis::DiagKind::kMissingFlush,
@@ -148,20 +149,16 @@ bool Tx::seal_mirror_mark(sim::ExecContext& ctx, stats::TxCounters* c) {
   // could otherwise publish the commit over a payload that never
   // persisted. Batch B's fence then makes it durable before the primary
   // seal.
-  if (!slot_.mirrored) return false;
-  seal_and_mirror_header(rt_->pool(), ctx, c, slot_,
-                         TxSlotHeader::make(epoch_, TxSlotHeader::kCommitted));
+  if (!slot_.mirrored()) return false;
+  seal_replica_header(rt_->pool(), ctx, c, slot_,
+                      TxSlotHeader::make(epoch_, TxSlotHeader::kCommitted));
   return true;
 }
 
 void Tx::check_mirror_persisted() {
-  if (!slot_.mirrored) return;
-  if (algo_ == Algo::kOrecLazy) {
-    psan_check_mirror_log_persisted(0, n_log_, analysis::DiagKind::kMissingFlush,
-                                    "mirror redo record unpersisted at commit seal");
-  }
-  psan_check_mirror_header_persisted(analysis::DiagKind::kMissingFlush,
-                                     "mirror header unpersisted at commit seal");
+  if (!slot_.mirrored()) return;
+  psan_check_header_persisted(SlotLayout::kReplica, analysis::DiagKind::kMissingFlush,
+                              "mirror header unpersisted at commit seal");
 }
 
 void Tx::seal_status(sim::ExecContext& ctx, stats::TxCounters* c) {
@@ -179,7 +176,7 @@ void Tx::write_back(bool timed) {
   // until the commit record is durable — otherwise a crash sees
   // partially-written-back data with an un-sealed log, and recovery rolls
   // the slot back over data the write-back already changed.
-  psan_check_header_persisted(analysis::DiagKind::kMisorderedPersist,
+  psan_check_header_persisted(SlotLayout::kPrimary, analysis::DiagKind::kMisorderedPersist,
                               "write-back ahead of the sealed commit record");
   // Alloc-only / free-only transactions have nothing to write back and
   // skip the batch — flushing nothing and fencing nothing.

@@ -46,28 +46,25 @@ void Tx::eager_write(uint64_t* waddr, uint64_t val) {
                      TxSlotHeader::make(epoch_, TxSlotHeader::kActive), nvm::Space::kLog);
       active_persisted_ = true;
     }
-    // Mirror header joins the same per-write batch (mirror record was
-    // written by append_log); one fence still covers everything.
-    sync_mirror_header();
+    // The replica header joins the same per-write batch (append_log wrote
+    // the replica record); one fence still covers everything.
+    sync_replica_header();
     persist_log_range(*ctx_, c_, entry_idx, 1);
     mem.clwb(*ctx_, c_, slot_.header);
     mem.sfence(*ctx_, c_);
   }
 
   // Ordering point (undo rule): the in-place store below must not precede
-  // the durability of its undo record and the ACTIVE header — a crash
-  // between them would find new data with no record to roll it back.
+  // the durability of its undo record and the ACTIVE header, in every
+  // copy — a crash between them would find new data with no record to
+  // roll it back, and the replica is the fallback when the primary line
+  // is damaged.
   psan_check_log_persisted(entry_idx, 1, analysis::DiagKind::kMisorderedPersist,
                            "in-place store ahead of its undo record");
-  psan_check_header_persisted(analysis::DiagKind::kMisorderedPersist,
-                              "in-place store ahead of the ACTIVE slot header");
-  // Ordering point (mirror rule): the replica undo record and header must
-  // be durable too before the in-place store — they are the fallback when
-  // the primary line is damaged.
-  psan_check_mirror_log_persisted(entry_idx, 1, analysis::DiagKind::kMisorderedPersist,
-                                  "in-place store ahead of its mirrored undo record");
-  psan_check_mirror_header_persisted(analysis::DiagKind::kMisorderedPersist,
-                                     "in-place store ahead of the mirrored ACTIVE header");
+  for (size_t k = 0; k < slot_.copies; k++) {
+    psan_check_header_persisted(k, analysis::DiagKind::kMisorderedPersist,
+                                "in-place store ahead of the ACTIVE slot header");
+  }
 
   // Speculative in-place store (protected by the orec lock).
   mem.store_word(*ctx_, c_, waddr, val, nvm::Space::kData);

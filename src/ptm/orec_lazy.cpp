@@ -32,20 +32,15 @@ void Tx::lazy_write(uint64_t* waddr, uint64_t val) {
   const uint64_t off = rt_->pool().offset_of(waddr);
   const int64_t idx = windex_.lookup(off);
   if (idx >= 0) {
-    // Update in place in the log (latest value wins at write-back).
+    // Update in place in the log (latest value wins at write-back), replica
+    // first. The record checksum covers the value; reseal the off word.
     nvm::Memory& mem = rt_->pool().mem();
-    if (slot_.mirrored) {
-      LogEntry* m = slot_.mirror_entry_at(static_cast<size_t>(idx));
-      mem.store_word(*ctx_, c_, &m->val, val, nvm::Space::kLog);
+    for (size_t k = slot_.copies; k-- > 0;) {
+      LogEntry* e = slot_.entry_at(static_cast<size_t>(idx), k);
+      mem.store_word(*ctx_, c_, &e->val, val, nvm::Space::kLog);
       if (crc_logs_) {
-        mem.store_word(*ctx_, c_, &m->off, LogEntry::seal(m->off, val), nvm::Space::kLog);
+        mem.store_word(*ctx_, c_, &e->off, LogEntry::seal(e->off, val), nvm::Space::kLog);
       }
-    }
-    LogEntry* e = slot_.entry_at(static_cast<size_t>(idx));
-    mem.store_word(*ctx_, c_, &e->val, val, nvm::Space::kLog);
-    if (crc_logs_) {
-      // The record checksum covers the value; reseal the off word.
-      mem.store_word(*ctx_, c_, &e->off, LogEntry::seal(e->off, val), nvm::Space::kLog);
     }
     return;
   }

@@ -22,11 +22,12 @@
 //
 // Repair-and-survive (SystemConfig::log_mirror): every sealed log line —
 // slot headers, alloc-log words, redo/undo records, segment headers — has
-// a same-sized replica on a distinct line, written *before* its primary
-// inside the same flush+fence batch. When a primary copy fails its media
-// or CRC screen, recovery falls back to the replica, rewrites the primary
-// in place (durably, then clears the media fault — crash-idempotent), and
-// counts it in records_repaired. Damage with no usable copy left is
+// a same-sized replica on a distinct line (SlotLayout copy kReplica),
+// written *before* its primary inside the same flush+fence batch. When a
+// primary copy fails its media or CRC screen, recovery falls back to the
+// replica, rewrites the primary in place (restore_from_replica, durably;
+// then clears the media fault — crash-idempotent), and counts it in
+// records_repaired. Damage with no usable copy left is
 // records_lost; under RecoveryPolicy::kSalvage the affected heap lines
 // are quarantined in the allocator and the loss surfaced through
 // Runtime::degraded(), under kFailStop recover() throws MediaLossError
@@ -123,19 +124,15 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
     bool header_lost = false;
     if (checked) {
       const bool p_media = mem.media_faulted(slot.header, sizeof(TxSlotHeader));
-      const bool p_torn = !p_media && slot.mirrored && !slot_header_crc_ok(*slot.header);
+      const bool p_torn = !p_media && slot.mirrored() && !slot_header_crc_ok(*slot.header);
       if (p_media || p_torn) {
-        bool fixed = false;
-        if (slot.mirrored && !mem.media_faulted(slot.mirror_header, sizeof(TxSlotHeader)) &&
-            slot_header_crc_ok(*slot.mirror_header)) {
-          mem.store_bytes(ctx, c, slot.header, slot.mirror_header, sizeof(TxSlotHeader),
-                          nvm::Space::kLog);
-          mem.clwb(ctx, c, slot.header);
-          mem.sfence(ctx, c);
+        const bool fixed = replica_header_usable(mem, slot);
+        if (fixed) {
+          restore_from_replica(pool_, ctx, slot.header,
+                               slot.header_copy(SlotLayout::kReplica), sizeof(TxSlotHeader));
           mem.repair_media_fault(mem.line_of(slot.header));
           rep.records_damaged++;
           rep.records_repaired++;
-          fixed = true;
         }
         if (!fixed && p_media) {
           // No usable copy of the header: the slot's state is unknowable.
@@ -154,19 +151,20 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
     }
 
     if (header_lost) {
-      if (slot.mirrored) {
+      if (slot.mirrored()) {
         // Rebuild both copies from zero so no scrambled residue (chain
         // links, counts) survives into the resealed header, then retire
         // the media faults: the lines now hold known-good bytes.
         static const TxSlotHeader kZeroHdr{};
-        mem.store_bytes(ctx, c, slot.header, &kZeroHdr, sizeof(TxSlotHeader), nvm::Space::kLog);
-        mem.store_bytes(ctx, c, slot.mirror_header, &kZeroHdr, sizeof(TxSlotHeader),
-                        nvm::Space::kLog);
-        mem.clwb(ctx, c, slot.header);
-        mem.clwb(ctx, c, slot.mirror_header);
+        for (size_t k = slot.copies; k-- > 0;) {
+          mem.store_bytes(ctx, c, slot.header_copy(k), &kZeroHdr, sizeof(TxSlotHeader),
+                          nvm::Space::kLog);
+          mem.clwb(ctx, c, slot.header_copy(k));
+        }
         mem.sfence(ctx, c);
-        mem.repair_media_fault(mem.line_of(slot.header));
-        mem.repair_media_fault(mem.line_of(slot.mirror_header));
+        for (size_t k = 0; k < slot.copies; k++) {
+          mem.repair_media_fault(mem.line_of(slot.header_copy(k)));
+        }
       }
       // Fall through to the quiesce below, which rebuilds the header as an
       // empty IDLE slot (epoch continuity does not matter — any surviving
@@ -224,14 +222,11 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
         rep.records_damaged++;
         bucket(pv);
         Verdict mv = Verdict::kInvalid;
-        if (slot.mirrored) {
-          const LogEntry* m = slot.mirror_entry_at(i);
+        if (slot.mirrored()) {
+          const LogEntry* m = slot.entry_at(i, SlotLayout::kReplica);
           mv = classify(m);
           if (mv == Verdict::kOk) {
-            mem.store_word(ctx, c, &e->off, m->off, nvm::Space::kLog);
-            mem.store_word(ctx, c, &e->val, m->val, nvm::Space::kLog);
-            mem.clwb(ctx, c, e);
-            mem.sfence(ctx, c);
+            restore_from_replica(pool_, ctx, e, m, sizeof(LogEntry));
             if (pv == Verdict::kMedia) repaired_lines.push_back(mem.line_of(e));
             rep.records_repaired++;
             rep.records_replayed++;
@@ -247,7 +242,7 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
         // is itself media-damaged (or sealed garbage with a bad offset) is
         // the record's fate unknowable, and pessimism counts it lost.
         bool lost;
-        if (!slot.mirrored) {
+        if (!slot.mirrored()) {
           lost = pv == Verdict::kMedia;
         } else if (committed) {
           lost = true;
@@ -264,14 +259,11 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
           // there may hold a partial write-back (committed redo) or an
           // un-rolled-back speculative store (active undo).
           uint64_t tgt = 0;
-          if (LogEntry::tag_matches(e->off, epoch) &&
-              valid_heap_off(LogEntry::offset_of(e->off))) {
-            tgt = LogEntry::offset_of(e->off);
-          } else if (slot.mirrored) {
-            const LogEntry* m = slot.mirror_entry_at(i);
-            if (LogEntry::tag_matches(m->off, epoch) &&
-                valid_heap_off(LogEntry::offset_of(m->off))) {
-              tgt = LogEntry::offset_of(m->off);
+          for (size_t k = 0; k < slot.copies && tgt == 0; k++) {
+            const uint64_t off_word = slot.entry_at(i, k)->off;
+            if (LogEntry::tag_matches(off_word, epoch) &&
+                valid_heap_off(LogEntry::offset_of(off_word))) {
+              tgt = LogEntry::offset_of(off_word);
             }
           }
           if (tgt != 0) alloc_.quarantine(pool_.at(tgt), 8);
@@ -300,12 +292,10 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
         }
         rep.records_damaged++;
         bucket(pv);
-        if (slot.mirrored) {
-          const uint64_t* mp = &slot.mirror_alloc_log[i];
+        if (slot.mirrored()) {
+          const uint64_t* mp = slot.alloc_copy(SlotLayout::kReplica) + i;
           if (cls(*mp, mp) == Verdict::kOk) {
-            mem.store_word(ctx, c, ap, *mp, nvm::Space::kLog);
-            mem.clwb(ctx, c, ap);
-            mem.sfence(ctx, c);
+            restore_from_replica(pool_, ctx, ap, mp, sizeof(uint64_t));
             if (pv == Verdict::kMedia) repaired_lines.push_back(mem.line_of(ap));
             rep.records_repaired++;
             return *ap;

@@ -1,6 +1,8 @@
 #include "ptm/redo_log.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "nvm/pool.h"
 #include "util/crc32.h"
@@ -26,26 +28,21 @@ bool AllocLogOp::crc_ok(uint64_t w) {
 SlotLayout SlotLayout::carve(char* slot_base, size_t slot_bytes, bool mirror) {
   constexpr size_t kAllocLogCap = 256;
   SlotLayout l;
-  l.mirrored = mirror;
-  l.header = reinterpret_cast<TxSlotHeader*>(slot_base);
+  l.copies = mirror ? 2 : 1;
   l.alloc_log_cap = kAllocLogCap;
-  // Every mirrored region is a same-sized replica placed right after its
-  // primary, so primary and mirror always occupy distinct cache lines:
-  // [header | mirror header | alloc log | mirror alloc log | log | mirror log]
-  const size_t copies = mirror ? 2 : 1;
-  char* p = slot_base + copies * sizeof(TxSlotHeader);
-  if (mirror) l.mirror_header = reinterpret_cast<TxSlotHeader*>(slot_base + sizeof(TxSlotHeader));
-  l.alloc_log = reinterpret_cast<uint64_t*>(p);
-  p += kAllocLogCap * 8;
-  if (mirror) {
-    l.mirror_alloc_log = reinterpret_cast<uint64_t*>(p);
-    p += kAllocLogCap * 8;
+  // Copy k of each region follows copy k-1 (see the class comment):
+  // [header x copies | alloc log x copies | log x copies].
+  const size_t fixed = l.copies * (sizeof(TxSlotHeader) + kAllocLogCap * sizeof(uint64_t));
+  const size_t need = fixed + l.copies * sizeof(LogEntry);
+  if (slot_bytes < need) {
+    throw std::invalid_argument("per_worker_meta_bytes = " + std::to_string(slot_bytes) +
+                                " cannot hold a log slot" + (mirror ? " with log_mirror" : "") +
+                                ": it needs at least " + std::to_string(need) + " bytes");
   }
-  const size_t fixed = copies * (sizeof(TxSlotHeader) + kAllocLogCap * 8);
-  assert(slot_bytes > fixed);
-  l.log_capacity = (slot_bytes - fixed) / (copies * sizeof(LogEntry));
-  l.log = reinterpret_cast<LogEntry*>(p);
-  if (mirror) l.mirror_log = l.log + l.log_capacity;
+  l.header = reinterpret_cast<TxSlotHeader*>(slot_base);
+  l.alloc_log = reinterpret_cast<uint64_t*>(l.header_copy(l.copies));
+  l.log = reinterpret_cast<LogEntry*>(l.alloc_copy(l.copies));
+  l.log_capacity = (slot_bytes - fixed) / (l.copies * sizeof(LogEntry));
   l.total_capacity = l.log_capacity;
   return l;
 }
@@ -65,35 +62,28 @@ size_t SlotLayout::attach_segments(nvm::Pool& pool, sim::ExecContext* ctx,
                       .load(std::memory_order_acquire);
   const size_t pool_size = pool.size();
   nvm::Memory& mem = pool.mem();
+  auto seg_ok = [&](const LogSegment* s, uint64_t base_off) {
+    if (mem.media_faulted(s, sizeof(LogSegment))) return false;
+    if (s->magic != LogSegment::kMagic || s->copies() != copies) return false;
+    return s->capacity != 0 && base_off + LogSegment::bytes(copies, s->capacity) <= pool_size;
+  };
   while (link != 0) {
     const uint64_t off = SegPtr::off_of(link);
     // A link that never fully persisted (or pre-format garbage) truncates
     // the chain here; that only sheds spare capacity, never records —
     // log_count can only cover a segment whose link install committed.
-    if (off < sizeof(nvm::PoolHeader) || off + sizeof(LogSegment) > pool_size) return 1;
+    if (off < sizeof(nvm::PoolHeader) || off + copies * sizeof(LogSegment) > pool_size) {
+      return 1;
+    }
     auto* seg = static_cast<LogSegment*>(pool.at(off));
-    auto seg_ok = [&](const LogSegment* s, uint64_t base_off) {
-      if (mem.media_faulted(s, sizeof(LogSegment))) return false;
-      if (s->magic != LogSegment::kMagic) return false;
-      const uint64_t cap = s->capacity;
-      const uint64_t copies = (s->flags & LogSegment::kFlagMirrored) ? 2 : 1;
-      if (cap == 0 ||
-          base_off + copies * (sizeof(LogSegment) + cap * sizeof(LogEntry)) > pool_size) {
-        return false;
-      }
-      return true;
-    };
     if (!seg_ok(seg, off)) {
       // A mirrored slot keeps a replica of every segment header on the
       // following line; when the primary header is unreadable but the
-      // replica validates, rewrite the primary in place and continue the
-      // walk instead of truncating.
-      if (!mirrored || ctx == nullptr || off + 2 * sizeof(LogSegment) > pool_size) return 1;
-      const LogSegment* rep = seg + 1;
-      if (!(rep->flags & LogSegment::kFlagMirrored) || !seg_ok(rep, off)) return 1;
-      mem.store_bytes(*ctx, nullptr, seg, rep, sizeof(LogSegment), nvm::Space::kLog);
-      mem.clwb(*ctx, nullptr, seg);
-      mem.sfence(*ctx, nullptr);
+      // replica validates, restore the primary and continue the walk
+      // instead of truncating.
+      LogSegment* rep = seg->header_copy(kReplica);
+      if (!mirrored() || ctx == nullptr || !seg_ok(rep, off)) return 1;
+      restore_from_replica(pool, *ctx, seg, rep, sizeof(LogSegment));
       mem.repair_media_fault(mem.line_of(seg));
       if (repaired != nullptr) (*repaired)++;
     }
@@ -119,10 +109,9 @@ bool slot_header_crc_ok(const TxSlotHeader& h) {
   return h.pad[SlotLayout::kHdrCrcPad] == slot_header_crc(h);
 }
 
-void seal_and_mirror_header(nvm::Pool& pool, sim::ExecContext& ctx,
-                            stats::TxCounters* c, SlotLayout& slot,
-                            uint64_t mirror_status) {
-  if (!slot.mirrored) return;
+void seal_replica_header(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                         SlotLayout& slot, uint64_t mirror_status) {
+  if (!slot.mirrored()) return;
   nvm::Memory& mem = pool.mem();
   // A full sealed image carrying `mirror_status`, on its own line, flushed
   // here so it rides whatever flush/fence batch the caller is building.
@@ -130,18 +119,34 @@ void seal_and_mirror_header(nvm::Pool& pool, sim::ExecContext& ctx,
   std::memcpy(&img, slot.header, sizeof(img));
   img.status = mirror_status;
   img.pad[SlotLayout::kHdrCrcPad] = slot_header_crc(img);
-  mem.store_bytes(ctx, c, slot.mirror_header, &img, sizeof(img), nvm::Space::kLog);
-  mem.clwb(ctx, c, slot.mirror_header);
+  TxSlotHeader* rep = slot.header_copy(SlotLayout::kReplica);
+  mem.store_bytes(ctx, c, rep, &img, sizeof(img), nvm::Space::kLog);
+  mem.clwb(ctx, c, rep);
 }
 
 void seal_primary_header_crc(nvm::Pool& pool, sim::ExecContext& ctx,
                              stats::TxCounters* c, SlotLayout& slot) {
-  if (!slot.mirrored) return;
+  if (!slot.mirrored()) return;
   TxSlotHeader img;
   std::memcpy(&img, slot.header, sizeof(img));
   img.pad[SlotLayout::kHdrCrcPad] = slot_header_crc(img);
   pool.mem().store_word(ctx, c, &slot.header->pad[SlotLayout::kHdrCrcPad],
                         img.pad[SlotLayout::kHdrCrcPad], nvm::Space::kLog);
+}
+
+bool replica_header_usable(const nvm::Memory& mem, const SlotLayout& slot) {
+  const TxSlotHeader* rep = slot.header_copy(SlotLayout::kReplica);
+  return slot.mirrored() && !mem.media_faulted(rep, sizeof(TxSlotHeader)) &&
+         slot_header_crc_ok(*rep);
+}
+
+void restore_from_replica(nvm::Pool& pool, sim::ExecContext& ctx, void* primary,
+                          const void* replica, size_t len) {
+  nvm::Memory& mem = pool.mem();
+  assert(mem.line_of(primary) == mem.line_of(static_cast<char*>(primary) + len - 1));
+  mem.store_bytes(ctx, nullptr, primary, replica, len, nvm::Space::kLog);
+  mem.clwb(ctx, nullptr, primary);
+  mem.sfence(ctx, nullptr);
 }
 
 void zero_slot_logs(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
@@ -163,16 +168,11 @@ void zero_slot_logs(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c
       left -= n;
     }
   };
-  wipe(slot.alloc_log, slot.alloc_log_cap * sizeof(uint64_t));
-  wipe(slot.log, slot.log_capacity * sizeof(LogEntry));
-  if (slot.mirrored) {
-    wipe(slot.mirror_alloc_log, slot.alloc_log_cap * sizeof(uint64_t));
-    wipe(slot.mirror_log, slot.log_capacity * sizeof(LogEntry));
-  }
-  for (size_t k = 0; k < slot.segs.size(); k++) {
-    wipe(slot.segs[k]->entries(), slot.seg_caps[k] * sizeof(LogEntry));
-    if (slot.segs[k]->mirrored()) {
-      wipe(slot.segs[k]->mirror_entries(), slot.seg_caps[k] * sizeof(LogEntry));
+  for (size_t k = slot.copies; k-- > 0;) {  // replica first
+    wipe(slot.alloc_copy(k), slot.alloc_log_cap * sizeof(uint64_t));
+    wipe(slot.log_copy(k), slot.log_capacity * sizeof(LogEntry));
+    for (size_t s = 0; s < slot.segs.size(); s++) {
+      wipe(slot.segs[s]->entries(k), slot.seg_caps[s] * sizeof(LogEntry));
     }
   }
   mem.sfence(ctx, c);
@@ -228,7 +228,7 @@ uint64_t retire_slot(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* 
   }
   const uint64_t word = TxSlotHeader::make(epoch, TxSlotHeader::kIdle);
   // Replica first (program order): the mirror is never behind the primary.
-  seal_and_mirror_header(pool, ctx, c, slot, word);
+  seal_replica_header(pool, ctx, c, slot, word);
   mem.store_word(ctx, c, &slot.header->status, word, nvm::Space::kLog);
   seal_primary_header_crc(pool, ctx, c, slot);
   mem.clwb(ctx, c, slot.header);

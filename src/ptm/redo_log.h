@@ -19,6 +19,7 @@
 // log so recovery replays it correctly.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -28,6 +29,7 @@
 #include "ptm/undo_log.h"
 
 namespace nvm {
+class Memory;
 class Pool;
 }
 namespace sim {
@@ -163,31 +165,40 @@ struct SegPtr {
 /// The LogEntry records follow immediately after the header. Fresh bump
 /// memory is zero-filled, and tag 0 is never live, so a segment's records
 /// need no initialization before first use.
+///
+/// A mirrored segment holds two copies of both parts, laid out like the
+/// slot's own regions (SlotLayout): [header 0 | header 1 | records 0 |
+/// records 1], copy 0 the primary and copy 1 the replica. This object is
+/// header copy 0.
 struct LogSegment {
   static constexpr uint64_t kMagic = 0x50544d4c4f475347ull;  // "PTMLOGSG"
 
-  /// flags bit 0: the segment carries mirror copies — a second header line
-  /// right after this one and a second record array right after the
-  /// primary one. Fresh bump memory is zero-filled, so pre-mirror segments
-  /// read back as flags == 0 and keep the compact layout.
+  /// flags bit 0: the segment carries two copies. Fresh bump memory is
+  /// zero-filled, so a segment written without mirroring reads back as
+  /// flags == 0, one copy.
   static constexpr uint64_t kFlagMirrored = 1ull;
 
   uint64_t magic;
   uint64_t next;      // SegPtr to the next segment; 0 = end of chain
-  uint64_t capacity;  // LogEntry records in this segment
-  uint64_t flags;     // kFlagMirrored when mirrored layout
+  uint64_t capacity;  // LogEntry records in this segment (per copy)
+  uint64_t flags;     // kFlagMirrored when two copies
   uint64_t pad[4];
 
-  bool mirrored() const { return (flags & kFlagMirrored) != 0; }
+  size_t copies() const { return (flags & kFlagMirrored) != 0 ? 2 : 1; }
 
-  /// The mirror copy of this header occupies the following cache line.
-  LogSegment* mirror_header() { return this + 1; }
-
-  LogEntry* entries() {
-    return reinterpret_cast<LogEntry*>(reinterpret_cast<char*>(this) +
-                                       (mirrored() ? 2 : 1) * sizeof(LogSegment));
+  /// Bytes a segment of `cap` records per copy occupies with `copies`
+  /// copies.
+  static size_t bytes(size_t copies, size_t cap) {
+    return copies * (sizeof(LogSegment) + cap * sizeof(LogEntry));
   }
-  LogEntry* mirror_entries() { return entries() + capacity; }
+
+  /// Header copy `copy`: each replica takes the following line.
+  LogSegment* header_copy(size_t copy) { return this + copy; }
+
+  /// Record array copy `copy`, after every header copy.
+  LogEntry* entries(size_t copy = 0) {
+    return reinterpret_cast<LogEntry*>(this + copies()) + copy * capacity;
+  }
 };
 static_assert(sizeof(LogSegment) == 64);
 
@@ -195,95 +206,89 @@ static_assert(sizeof(LogSegment) == 64);
 /// plus a DRAM-side cache of the slot's persistent overflow-segment chain.
 /// Log record index space is linear: [0, log_capacity) lives in the slot,
 /// subsequent indices run through the segments in chain order.
+///
+/// With log mirroring every region exists in two same-sized copies,
+/// indexed by copy: kPrimary (0) and kReplica (1). Copy k of a region
+/// starts k region sizes past copy 0, so each region is described once
+/// and the replica always sits on distinct cache lines:
+/// [header 0 | header 1 | alloc log 0 | alloc log 1 | log 0 | log 1].
+/// `header`, `alloc_log` and `log` point at copy 0. A write to both copies
+/// stores the replica first, in the same fence batch as the primary, so
+/// the replica is never behind (docs/LOGGING.md, "Mirrored metadata").
 struct SlotLayout {
   static constexpr size_t kChainPad = 0;   // header->pad word holding the chain head
   static constexpr size_t kLogCrcPad = 1;  // whole-log CRC32C (lazy commit, crash_sim)
   static constexpr size_t kHdrCrcPad = 2;  // whole-header CRC32C (log_mirror only)
+  static constexpr size_t kPrimary = 0;
+  static constexpr size_t kReplica = 1;
 
   TxSlotHeader* header = nullptr;
   uint64_t* alloc_log = nullptr;  // alloc_log_cap words
   LogEntry* log = nullptr;        // log_capacity records (base, in-slot)
   size_t alloc_log_cap = 0;
   size_t log_capacity = 0;
-
-  // Mirror copies (SystemConfig::log_mirror). Each primary region has a
-  // same-sized replica on distinct cache lines inside the same slot:
-  // [header | mirror header | alloc log | mirror alloc log | log | mirror
-  // log]. Null / false when mirroring is off.
-  TxSlotHeader* mirror_header = nullptr;
-  uint64_t* mirror_alloc_log = nullptr;
-  LogEntry* mirror_log = nullptr;
-  bool mirrored = false;
+  size_t copies = 1;  // 2 with SystemConfig::log_mirror
 
   // DRAM-side view of the persistent chain rooted at header->pad[kChainPad].
   std::vector<LogSegment*> segs;
   std::vector<size_t> seg_caps;
   size_t total_capacity = 0;  // log_capacity + sum(seg_caps)
 
+  /// Throws std::invalid_argument when `slot_bytes` cannot hold every
+  /// copy's header and alloc log plus one record per copy.
   static SlotLayout carve(char* slot_base, size_t slot_bytes, bool mirror = false);
 
+  bool mirrored() const { return copies > 1; }
+
+  TxSlotHeader* header_copy(size_t copy) const { return header + copy; }
+  uint64_t* alloc_copy(size_t copy) const { return alloc_log + copy * alloc_log_cap; }
+  LogEntry* log_copy(size_t copy) const { return log + copy * log_capacity; }
+
   /// (Re)build segs/seg_caps/total_capacity from the persistent chain,
-  /// validating each link (bounds, alignment, magic) and stopping at the
-  /// first invalid one — a link whose install never fully persisted simply
-  /// truncates the chain, losing spare capacity but never correctness.
-  /// Returns the number of links dropped by such truncation (0 or 1: the
-  /// walk stops at the first bad link), so recovery can report it.
+  /// validating each link (bounds, alignment, magic, copy count) and
+  /// stopping at the first invalid one — a link whose install never fully
+  /// persisted simply truncates the chain, losing spare capacity but never
+  /// correctness. Returns the number of links dropped by such truncation
+  /// (0 or 1: the walk stops at the first bad link), so recovery can
+  /// report it.
   ///
   /// When `ctx` is given and the slot is mirrored, a segment header that
-  /// fails its checks (bad magic/capacity, or a poisoned line) is repaired
-  /// in place from its mirror copy before validation proceeds, bumping
-  /// *repaired per rewritten header — so a single bad XPLine no longer
-  /// truncates the chain.
+  /// fails its checks (bad magic/capacity, or a poisoned line) is restored
+  /// from its replica (restore_from_replica) before validation proceeds,
+  /// bumping *repaired per rewritten header — so a single bad XPLine no
+  /// longer truncates the chain.
   size_t attach_segments(nvm::Pool& pool, sim::ExecContext* ctx = nullptr,
                          uint64_t* repaired = nullptr);
 
-  /// Log record `i` of the linear index space, or nullptr past the end.
-  LogEntry* entry_at(size_t i) {
-    if (i < log_capacity) return &log[i];
-    i -= log_capacity;
-    for (size_t k = 0; k < segs.size(); k++) {
-      if (i < seg_caps[k]) return segs[k]->entries() + i;
-      i -= seg_caps[k];
-    }
-    return nullptr;
-  }
-
-  /// Mirror copy of log record `i`, or nullptr when not mirrored / past
-  /// the end. Index space mirrors entry_at exactly.
-  LogEntry* mirror_entry_at(size_t i) {
-    if (!mirrored) return nullptr;
-    if (i < log_capacity) return &mirror_log[i];
-    i -= log_capacity;
-    for (size_t k = 0; k < segs.size(); k++) {
-      if (i < seg_caps[k]) return segs[k]->mirror_entries() + i;
-      i -= seg_caps[k];
-    }
-    return nullptr;
-  }
-
-  /// Longest contiguous record run starting at index `i` (for range
-  /// flushes): pointer plus number of records before the next segment
+  /// Longest contiguous run of copy `copy`'s records starting at index
+  /// `i`: pointer plus number of records before the next segment
   /// boundary. {nullptr, 0} past the end.
-  std::pair<LogEntry*, size_t> span_at(size_t i) {
-    if (i < log_capacity) return {&log[i], log_capacity - i};
+  std::pair<LogEntry*, size_t> span_at(size_t i, size_t copy = kPrimary) {
+    if (i < log_capacity) return {log_copy(copy) + i, log_capacity - i};
     i -= log_capacity;
     for (size_t k = 0; k < segs.size(); k++) {
-      if (i < seg_caps[k]) return {segs[k]->entries() + i, seg_caps[k] - i};
+      if (i < seg_caps[k]) return {segs[k]->entries(copy) + i, seg_caps[k] - i};
       i -= seg_caps[k];
     }
     return {nullptr, 0};
   }
 
-  /// span_at over the mirror arrays. {nullptr, 0} when not mirrored.
-  std::pair<LogEntry*, size_t> mirror_span_at(size_t i) {
-    if (!mirrored) return {nullptr, 0};
-    if (i < log_capacity) return {&mirror_log[i], log_capacity - i};
-    i -= log_capacity;
-    for (size_t k = 0; k < segs.size(); k++) {
-      if (i < seg_caps[k]) return {segs[k]->mirror_entries() + i, seg_caps[k] - i};
-      i -= seg_caps[k];
+  /// Copy `copy` of log record `i` of the linear index space, or nullptr
+  /// past the end.
+  LogEntry* entry_at(size_t i, size_t copy = kPrimary) { return span_at(i, copy).first; }
+
+  /// fn(run, n) for each contiguous run (span_at) of copy `copy`'s
+  /// records [first, first + n), which must lie below total_capacity.
+  template <class Fn>
+  void for_each_run(size_t first, size_t n, size_t copy, Fn&& fn) {
+    while (n > 0) {
+      const auto [run, cap] = span_at(first, copy);
+      assert(run != nullptr && "log record range past total_capacity");
+      const size_t take = n < cap ? n : cap;
+      fn(run, take);
+      first += take;
+      n -= take;
     }
-    return {nullptr, 0};
   }
 };
 
@@ -299,15 +304,15 @@ bool slot_header_crc_ok(const TxSlotHeader& h);
 
 /// Store a full sealed header image — the primary's current fields with
 /// `mirror_status` in place of its status word, plus a matching header
-/// CRC — to the slot's mirror header line, clwb'ing the mirror line.
-/// Passing the primary's current status keeps the copies identical;
-/// passing a kCommitted status ahead of the primary seal is how the
-/// commit paths make "mirror durable before primary seal" hold. The
-/// caller owns the primary's CRC reseal (seal_primary_header_crc), the
-/// primary header flush, and the fence. No-op when not mirrored.
-void seal_and_mirror_header(nvm::Pool& pool, sim::ExecContext& ctx,
-                            stats::TxCounters* c, SlotLayout& slot,
-                            uint64_t mirror_status);
+/// CRC — to the slot's replica header (copy kReplica), clwb'ing its line.
+/// The two images differ on purpose: passing the primary's current status
+/// keeps the copies identical; passing a kCommitted status ahead of the
+/// primary seal is how the commit paths make "mirror durable before
+/// primary seal" hold (batch B). The caller owns the primary's CRC reseal
+/// (seal_primary_header_crc), the primary header flush, and the fence.
+/// No-op when not mirrored.
+void seal_replica_header(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
+                         SlotLayout& slot, uint64_t mirror_status);
 
 /// Recompute and store the primary header's CRC pad word over its current
 /// content. Must follow any primary header field/status store when
@@ -316,11 +321,26 @@ void seal_and_mirror_header(nvm::Pool& pool, sim::ExecContext& ctx,
 void seal_primary_header_crc(nvm::Pool& pool, sim::ExecContext& ctx,
                              stats::TxCounters* c, SlotLayout& slot);
 
-/// Durably zero a slot's log arrays (alloc log, base write log, every
-/// attached overflow segment) — the epoch-tag wrap quiesce: after 2^24
-/// epochs a leftover record could alias a live tag, so all leftovers are
-/// erased before the tag space is reused. The caller issues the subsequent
-/// status/count update; this only zeroes + flushes + fences the arrays.
+/// Whether `slot`'s replica header can stand in for a damaged primary: the
+/// slot is mirrored, the replica line is not media-faulted, and its
+/// whole-header CRC holds. The screen recovery and the scrubber share.
+bool replica_header_usable(const nvm::Memory& mem, const SlotLayout& slot);
+
+/// Durably restore `len` bytes of a primary copy, inside one cache line,
+/// from its replica at `replica`: store, clwb, sfence. Recovery, segment
+/// attach and the scrubber all repair through it. The caller retires the
+/// line's media fault afterwards, once every record sharing the line is
+/// whole: rewritten durably first, a repair that a crash interrupts at
+/// worst runs again.
+void restore_from_replica(nvm::Pool& pool, sim::ExecContext& ctx, void* primary,
+                          const void* replica, size_t len);
+
+/// Durably zero every copy of a slot's log arrays (alloc log, base write
+/// log, every attached overflow segment), replica first — the epoch-tag
+/// wrap quiesce: after 2^24 epochs a leftover record could alias a live
+/// tag, so all leftovers are erased before the tag space is reused. The
+/// caller issues the subsequent status/count update; this only zeroes +
+/// flushes + fences the arrays.
 void zero_slot_logs(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
                     SlotLayout& slot);
 

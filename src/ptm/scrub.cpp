@@ -1,34 +1,18 @@
 #include "ptm/scrub.h"
 
-#include <cassert>
-
 #include "stats/trace.h"
 
 namespace ptm {
 
 Scrubber::Scrubber(Runtime& rt) : rt_(rt) { s_.enabled = true; }
 
-bool Scrubber::repair_line(sim::ExecContext& ctx, const char* primary,
-                           const char* mirror) {
-  nvm::Memory& mem = rt_.pool().mem();
-  if (mirror == nullptr || mem.media_faulted(mirror, nvm::Memory::kLineBytes)) {
-    return false;
-  }
-  // Durable before the fault retires: a crash between the copy and the
-  // repair_media_fault below re-poisons a line whose bytes are already
-  // correct, and the next pass (or recovery) simply repairs it again.
-  mem.store_bytes(ctx, nullptr, const_cast<char*>(primary), mirror,
-                  nvm::Memory::kLineBytes, nvm::Space::kLog);
-  mem.clwb(ctx, nullptr, primary);
-  mem.sfence(ctx, nullptr);
-  mem.repair_media_fault(mem.line_of(primary));
-  return true;
-}
-
-void Scrubber::scan_region(sim::ExecContext& ctx, const char* primary,
-                           const char* mirror, size_t bytes) {
-  nvm::Memory& mem = rt_.pool().mem();
-  // Whole lines only: a region tail sharing a line with its own mirror
+void Scrubber::scan_region(sim::ExecContext& ctx, const void* primary, const void* replica,
+                           size_t bytes) {
+  nvm::Pool& pool = rt_.pool();
+  nvm::Memory& mem = pool.mem();
+  const auto* p = static_cast<const char*>(primary);
+  const auto* r = static_cast<const char*>(replica);
+  // Whole lines only: a region tail sharing a line with its own replica
   // region stays with recovery's record-granular screen — repairing it at
   // line granularity would cross the region boundary.
   for (size_t o = 0; o + nvm::Memory::kLineBytes <= bytes;
@@ -36,15 +20,16 @@ void Scrubber::scan_region(sim::ExecContext& ctx, const char* primary,
     s_.lines_scanned++;
     // One charged media read per line: the walk costs what a patrol read
     // costs, and the charge is the fiber's DES scheduling point.
-    mem.load_word(ctx, nullptr, reinterpret_cast<const uint64_t*>(primary + o),
-                  nvm::Space::kLog);
-    if (!mem.media_faulted(primary + o, nvm::Memory::kLineBytes)) continue;
+    mem.load_word(ctx, nullptr, reinterpret_cast<const uint64_t*>(p + o), nvm::Space::kLog);
+    if (!mem.media_faulted(p + o, nvm::Memory::kLineBytes)) continue;
     s_.media_faults_found++;
-    if (repair_line(ctx, primary + o, mirror == nullptr ? nullptr : mirror + o)) {
-      s_.repaired++;
-    } else {
+    if (r == nullptr || mem.media_faulted(r + o, nvm::Memory::kLineBytes)) {
       s_.unrepairable++;
+      continue;
     }
+    restore_from_replica(pool, ctx, const_cast<char*>(p + o), r + o, nvm::Memory::kLineBytes);
+    mem.repair_media_fault(mem.line_of(p + o));
+    s_.repaired++;
   }
 }
 
@@ -58,27 +43,29 @@ void Scrubber::run_pass(sim::ExecContext& ctx) {
   for (int w = 0; w < pool.config().max_workers; w++) {
     SlotLayout slot = SlotLayout::carve(pool.worker_meta(w), pool.worker_meta_bytes(),
                                         pool.config().log_mirror);
-    const auto* hdr = reinterpret_cast<const char*>(slot.header);
-    const auto* mhdr = reinterpret_cast<const char*>(slot.mirror_header);  // null unmirrored
+    // Durable before the fault retires: a crash between the restore and
+    // repair_media_fault re-poisons a line whose bytes are already
+    // correct, and the next pass (or recovery) simply repairs it again.
+    auto restore_header = [&] {
+      restore_from_replica(pool, ctx, slot.header, slot.header_copy(SlotLayout::kReplica),
+                           sizeof(TxSlotHeader));
+      mem.repair_media_fault(mem.line_of(slot.header));
+      s_.repaired++;
+      s_.header_repairs++;
+    };
 
     // Header first: with the header line gone the slot's state is
     // unknowable and its segment chain unwalkable.
     s_.lines_scanned++;
-    mem.load_word(ctx, nullptr, reinterpret_cast<const uint64_t*>(hdr),
-                  nvm::Space::kLog);
-    if (checked && mem.media_faulted(hdr, sizeof(TxSlotHeader))) {
+    mem.load_word(ctx, nullptr, &slot.header->status, nvm::Space::kLog);
+    if (checked && mem.media_faulted(slot.header, sizeof(TxSlotHeader))) {
       s_.media_faults_found++;
-      const bool ok = slot.mirrored &&
-                      !mem.media_faulted(mhdr, sizeof(TxSlotHeader)) &&
-                      slot_header_crc_ok(*slot.mirror_header) &&
-                      repair_line(ctx, hdr, mhdr);
-      if (!ok) {
+      if (!replica_header_usable(mem, slot)) {
         // Leave the wreck for recovery's loss accounting.
         s_.unrepairable++;
         continue;
       }
-      s_.repaired++;
-      s_.header_repairs++;
+      restore_header();
     }
     if (TxSlotHeader::state_of(slot.header->status) != TxSlotHeader::kIdle) {
       // A transaction is in flight here; skip the slot wholesale rather
@@ -86,16 +73,13 @@ void Scrubber::run_pass(sim::ExecContext& ctx) {
       s_.skipped_busy++;
       continue;
     }
-    if (checked && slot.mirrored) {
+    if (checked && slot.mirrored()) {
       // Sealed-header CRC validation: a primary whose seal no longer
       // matches (crash debris the media screen cannot see) heals from an
       // intact replica. Both-copies-unsealed is a fresh slot — leave it.
       s_.crc_checks++;
-      if (!slot_header_crc_ok(*slot.header) &&
-          !mem.media_faulted(mhdr, sizeof(TxSlotHeader)) &&
-          slot_header_crc_ok(*slot.mirror_header) && repair_line(ctx, hdr, mhdr)) {
-        s_.repaired++;
-        s_.header_repairs++;
+      if (!slot_header_crc_ok(*slot.header) && replica_header_usable(mem, slot)) {
+        restore_header();
       }
     }
 
@@ -105,18 +89,15 @@ void Scrubber::run_pass(sim::ExecContext& ctx) {
     slot.attach_segments(pool, &ctx, &seg_repairs);
     s_.repaired += seg_repairs;
     s_.header_repairs += seg_repairs;
-    scan_region(ctx, reinterpret_cast<const char*>(slot.alloc_log),
-                slot.mirrored ? reinterpret_cast<const char*>(slot.mirror_alloc_log)
-                              : nullptr,
+    // An unmirrored slot has no replica to repair from: detect-only.
+    const bool m = slot.mirrored();
+    scan_region(ctx, slot.alloc_log, m ? slot.alloc_copy(SlotLayout::kReplica) : nullptr,
                 slot.alloc_log_cap * sizeof(uint64_t));
-    scan_region(ctx, reinterpret_cast<const char*>(slot.log),
-                slot.mirrored ? reinterpret_cast<const char*>(slot.mirror_log) : nullptr,
+    scan_region(ctx, slot.log, m ? slot.log_copy(SlotLayout::kReplica) : nullptr,
                 slot.log_capacity * sizeof(LogEntry));
     for (size_t k = 0; k < slot.segs.size(); k++) {
       LogSegment* seg = slot.segs[k];
-      scan_region(ctx, reinterpret_cast<const char*>(seg->entries()),
-                  seg->mirrored() ? reinterpret_cast<const char*>(seg->mirror_entries())
-                                  : nullptr,
+      scan_region(ctx, seg->entries(), m ? seg->entries(SlotLayout::kReplica) : nullptr,
                   slot.seg_caps[k] * sizeof(LogEntry));
     }
   }

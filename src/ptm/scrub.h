@@ -5,10 +5,11 @@
 // worker slot's persistent log metadata — slot headers, alloc logs, write
 // logs, overflow segments — plus the allocator's metadata region,
 // validating media health and (on mirrored pools) sealed-header CRCs.
-// Damage found on a line with an intact replica is repaired in place:
-// mirror bytes are copied over the primary, made durable (clwb + sfence),
-// and only then is the media fault retired — the same crash-idempotent
-// order recovery uses, so a power failure mid-repair at worst re-runs it.
+// Damage found on a line with an intact replica is repaired in place
+// through ptm::restore_from_replica (replica bytes stored over the
+// primary, clwb, sfence), and only then is the media fault retired — the
+// same routine and order recovery uses, so a power failure mid-repair at
+// worst re-runs it.
 //
 // The scrubber's purpose is shrinking the latent-fault window: a line that
 // rots *after* its last persist (nvm::Memory::arm_media_fault_at) would
@@ -41,16 +42,11 @@ class Scrubber {
   const stats::ScrubStats& stats() const { return s_; }
 
  private:
-  /// Durably rewrite the 64-byte primary line at `primary` from its
-  /// replica bytes at `mirror` and retire the media fault. Returns false
-  /// (and touches nothing) when there is no replica or the replica line
-  /// is itself media-faulted.
-  bool repair_line(sim::ExecContext& ctx, const char* primary, const char* mirror);
-
   /// Scan the whole-line prefix of a (primary, replica) region pair:
-  /// charge one media read per line, detect media faults, repair from the
-  /// replica when possible. `mirror == nullptr` means detect-only.
-  void scan_region(sim::ExecContext& ctx, const char* primary, const char* mirror,
+  /// charge one media read per line, detect media faults, restore a
+  /// faulted line from the replica when the replica line is healthy.
+  /// `replica == nullptr` means detect-only.
+  void scan_region(sim::ExecContext& ctx, const void* primary, const void* replica,
                    size_t bytes);
 
   Runtime& rt_;

@@ -223,10 +223,9 @@ void Tx::grow_for_capacity() {
   const size_t add = slot_.total_capacity;
   nvm::Pool& pool = rt_->pool();
   nvm::Memory& mem = pool.mem();
-  // A mirrored slot's segments carry a second header line and a second
-  // record array: [hdr | mirror hdr | entries(add) | mirror entries(add)].
-  const size_t copies = slot_.mirrored ? 2 : 1;
-  const size_t seg_bytes = copies * (sizeof(LogSegment) + add * sizeof(LogEntry));
+  // Every copy of the header, then every copy of the records:
+  // [hdr 0 | hdr 1 | entries 0 (add) | entries 1 (add)] when mirrored.
+  const size_t seg_bytes = LogSegment::bytes(slot_.copies, add);
   LogSegment* seg;
   try {
     seg = static_cast<LogSegment*>(rt_->allocator().alloc_raw(*ctx_, c_, seg_bytes));
@@ -234,45 +233,37 @@ void Tx::grow_for_capacity() {
     throw CapacityError("persistent heap exhausted while growing the transaction log");
   }
 
-  // Crash ordering: the segment header must be durable before any link to
+  // Crash ordering: every header copy must be durable before any link to
   // it exists, so a recovered chain never follows a link into garbage.
   // (alloc_raw's bump memory is zero-filled, so the records need no init —
-  // tag 0 never matches a live epoch.)
-  const uint64_t flags = slot_.mirrored ? LogSegment::kFlagMirrored : 0;
-  if (slot_.mirrored) {
-    // Mirror header first, same fields, own line.
-    LogSegment* rep = seg + 1;
-    mem.store_word(*ctx_, c_, &rep->magic, LogSegment::kMagic, nvm::Space::kLog);
-    mem.store_word(*ctx_, c_, &rep->next, 0, nvm::Space::kLog);
-    mem.store_word(*ctx_, c_, &rep->capacity, add, nvm::Space::kLog);
-    mem.store_word(*ctx_, c_, &rep->flags, flags, nvm::Space::kLog);
-    mem.clwb(*ctx_, c_, rep);
+  // tag 0 never matches a live epoch — and an unmirrored flags word needs
+  // no store.) Replica first, each copy on its own line, one fence.
+  const uint64_t flags = slot_.mirrored() ? LogSegment::kFlagMirrored : 0;
+  for (size_t k = slot_.copies; k-- > 0;) {
+    LogSegment* h = seg->header_copy(k);
+    mem.store_word(*ctx_, c_, &h->magic, LogSegment::kMagic, nvm::Space::kLog);
+    mem.store_word(*ctx_, c_, &h->next, 0, nvm::Space::kLog);
+    mem.store_word(*ctx_, c_, &h->capacity, add, nvm::Space::kLog);
+    if (flags != 0) mem.store_word(*ctx_, c_, &h->flags, flags, nvm::Space::kLog);
+    mem.clwb(*ctx_, c_, h);
   }
-  mem.store_word(*ctx_, c_, &seg->magic, LogSegment::kMagic, nvm::Space::kLog);
-  mem.store_word(*ctx_, c_, &seg->next, 0, nvm::Space::kLog);
-  mem.store_word(*ctx_, c_, &seg->capacity, add, nvm::Space::kLog);
-  if (flags != 0) mem.store_word(*ctx_, c_, &seg->flags, flags, nvm::Space::kLog);
-  mem.clwb(*ctx_, c_, seg);
   mem.sfence(*ctx_, c_);
 
-  // Now durably install the link (chain head in the slot header, or the
-  // tail segment's `next`).
+  // Now durably install the link: the chain head in the slot header, or
+  // the tail segment's `next` in every copy, replica first.
   const uint64_t link_word = SegPtr::make(pool.offset_of(seg), epoch_);
-  uint64_t* link;
   if (slot_.segs.empty()) {
-    link = &slot_.header->pad[SlotLayout::kChainPad];
-    mem.store_word(*ctx_, c_, link, link_word, nvm::Space::kLog);
-    sync_mirror_header();
+    mem.store_word(*ctx_, c_, &slot_.header->pad[SlotLayout::kChainPad], link_word,
+                   nvm::Space::kLog);
+    sync_replica_header();
+    mem.clwb(*ctx_, c_, slot_.header);
   } else {
-    LogSegment* tail = slot_.segs.back();
-    if (tail->mirrored()) {
-      mem.store_word(*ctx_, c_, &tail->mirror_header()->next, link_word, nvm::Space::kLog);
-      mem.clwb(*ctx_, c_, tail->mirror_header());
+    for (size_t k = slot_.copies; k-- > 0;) {
+      LogSegment* tail = slot_.segs.back()->header_copy(k);
+      mem.store_word(*ctx_, c_, &tail->next, link_word, nvm::Space::kLog);
+      mem.clwb(*ctx_, c_, tail);
     }
-    link = &tail->next;
-    mem.store_word(*ctx_, c_, link, link_word, nvm::Space::kLog);
   }
-  mem.clwb(*ctx_, c_, link);
   mem.sfence(*ctx_, c_);
 
   slot_.segs.push_back(seg);
@@ -294,11 +285,7 @@ void* Tx::alloc(size_t n) {
   if (n_alloc_log_ >= slot_.alloc_log_cap) capacity_abort(CapacityKind::kAllocLog);
   void* p = rt_->allocator().alloc(*ctx_, c_, n);
   analysis::PhaseScope ps(psan_, worker_, stats::Phase::kLogAppend);
-  const uint64_t off = rt_->pool().offset_of(p);
-  uint64_t* entry = &slot_.alloc_log[n_alloc_log_];
-  uint64_t word = AllocLogOp::make(off, AllocLogOp::kAlloc, epoch_);
-  if (crc_logs_) word = AllocLogOp::seal(word);
-  append_alloc_word(entry, word);
+  append_alloc_word(AllocLogOp::make(rt_->pool().offset_of(p), AllocLogOp::kAlloc, epoch_));
   tx_allocs_.push_back(p);
   return p;
 }
@@ -306,33 +293,30 @@ void* Tx::alloc(size_t n) {
 void Tx::dealloc(void* p) {
   if (n_alloc_log_ >= slot_.alloc_log_cap) capacity_abort(CapacityKind::kAllocLog);
   analysis::PhaseScope ps(psan_, worker_, stats::Phase::kLogAppend);
-  const uint64_t off = rt_->pool().offset_of(p);
-  uint64_t* entry = &slot_.alloc_log[n_alloc_log_];
-  uint64_t word = AllocLogOp::make(off, AllocLogOp::kFree, epoch_);
-  if (crc_logs_) word = AllocLogOp::seal(word);
-  append_alloc_word(entry, word);
+  append_alloc_word(AllocLogOp::make(rt_->pool().offset_of(p), AllocLogOp::kFree, epoch_));
   tx_frees_.push_back(p);
 }
 
-void Tx::append_alloc_word(uint64_t* entry, uint64_t word) {
+void Tx::append_alloc_word(uint64_t word) {
   nvm::Memory& mem = rt_->pool().mem();
-  if (slot_.mirrored) {
-    uint64_t* m = &slot_.mirror_alloc_log[n_alloc_log_];
-    mem.store_word(*ctx_, c_, m, word, nvm::Space::kLog);
-    mem.clwb(*ctx_, c_, m);
+  if (crc_logs_) word = AllocLogOp::seal(word);
+  // Every copy of the word (replica first), the count and the header
+  // images, then every line's flush and one fence.
+  const size_t i = n_alloc_log_;
+  for (size_t k = slot_.copies; k-- > 0;) {
+    mem.store_word(*ctx_, c_, slot_.alloc_copy(k) + i, word, nvm::Space::kLog);
   }
-  mem.store_word(*ctx_, c_, entry, word, nvm::Space::kLog);
   n_alloc_log_++;
   mem.store_word(*ctx_, c_, &slot_.header->alloc_count, n_alloc_log_, nvm::Space::kLog);
-  sync_mirror_header();
-  mem.clwb(*ctx_, c_, entry);
+  sync_replica_header();
+  for (size_t k = slot_.copies; k-- > 0;) mem.clwb(*ctx_, c_, slot_.alloc_copy(k) + i);
   mem.clwb(*ctx_, c_, slot_.header);
   mem.sfence(*ctx_, c_);
 }
 
-void Tx::sync_mirror_header() {
-  if (!slot_.mirrored) return;
-  seal_and_mirror_header(rt_->pool(), *ctx_, c_, slot_, slot_.header->status);
+void Tx::sync_replica_header() {
+  if (!slot_.mirrored()) return;
+  seal_replica_header(rt_->pool(), *ctx_, c_, slot_, slot_.header->status);
   seal_primary_header_crc(rt_->pool(), *ctx_, c_, slot_);
 }
 
@@ -340,52 +324,38 @@ void Tx::append_log(uint64_t off, uint64_t val) {
   if (n_log_ >= slot_.total_capacity) capacity_abort(CapacityKind::kWriteLog);
   stats::PhaseTimer pt(*ctx_, &c_->phases, stats::Phase::kLogAppend);
   nvm::Memory& mem = rt_->pool().mem();
-  LogEntry* e = slot_.entry_at(n_log_);
   uint64_t packed = LogEntry::pack(epoch_, off);
   if (crc_logs_) packed = LogEntry::seal(packed, val);
-  if (slot_.mirrored) {
-    // Replica record first (program order) on its own line; it rides the
-    // same flush/fence batch as the primary, so after any ack fence both
-    // copies are durable.
-    LogEntry* m = slot_.mirror_entry_at(n_log_);
-    mem.store_word(*ctx_, c_, &m->off, packed, nvm::Space::kLog);
-    mem.store_word(*ctx_, c_, &m->val, val, nvm::Space::kLog);
+  // Replica record first (program order), each copy on its own line; the
+  // copies ride the same flush/fence batch, so after any ack fence both
+  // are durable.
+  for (size_t k = slot_.copies; k-- > 0;) {
+    LogEntry* e = slot_.entry_at(n_log_, k);
+    mem.store_word(*ctx_, c_, &e->off, packed, nvm::Space::kLog);
+    mem.store_word(*ctx_, c_, &e->val, val, nvm::Space::kLog);
     c_->log_bytes += sizeof(LogEntry);
   }
-  mem.store_word(*ctx_, c_, &e->off, packed, nvm::Space::kLog);
-  mem.store_word(*ctx_, c_, &e->val, val, nvm::Space::kLog);
   n_log_++;
-  c_->log_bytes += sizeof(LogEntry);
 }
 
 void Tx::persist_log_range(sim::ExecContext& ctx, stats::TxCounters* c,
                            size_t first_entry, size_t n_entries) {
   nvm::Memory& mem = rt_->pool().mem();
   // The linear record range may span the base log and several overflow
-  // segments; flush each contiguous run separately. Mirror lines join the
-  // same batch so the caller's fence makes both copies durable together.
-  // Parameterized on the issuing context: the epoch leader flushes member
-  // logs through its own WPQ (Tx::seal).
-  auto flush_runs = [&](bool mirror) {
-    size_t first = first_entry;
-    size_t left = n_entries;
-    while (left > 0) {
-      auto [run, run_cap] = mirror ? slot_.mirror_span_at(first) : slot_.span_at(first);
-      assert(run != nullptr && "persist_log_range past total_capacity");
-      const size_t n = std::min(left, run_cap);
-      const char* lo = reinterpret_cast<const char*>(run);
+  // segments; flush each contiguous run separately, every copy (replica
+  // first) in the same batch so the caller's fence makes them durable
+  // together. Parameterized on the issuing context: the epoch leader
+  // flushes member logs through its own WPQ (Tx::seal).
+  for (size_t k = slot_.copies; k-- > 0;) {
+    slot_.for_each_run(first_entry, n_entries, k, [&](const LogEntry* run, size_t n) {
       const char* hi = reinterpret_cast<const char*>(run + n) - 1;
       for (const char* p = reinterpret_cast<const char*>(
-               reinterpret_cast<uintptr_t>(lo) & ~uintptr_t{63});
+               reinterpret_cast<uintptr_t>(run) & ~uintptr_t{63});
            p <= hi; p += nvm::Memory::kLineBytes) {
         mem.clwb(ctx, c, p);
       }
-      first += n;
-      left -= n;
-    }
-  };
-  if (slot_.mirrored) flush_runs(/*mirror=*/true);
-  flush_runs(/*mirror=*/false);
+    });
+  }
 }
 
 void Tx::release_owned(uint64_t version_word) {
@@ -414,7 +384,7 @@ void Tx::cancel_allocs() {
     nvm::Memory& mem = rt_->pool().mem();
     mem.store_word(*ctx_, c_, &slot_.header->alloc_count, 0, nvm::Space::kLog);
     n_alloc_log_ = 0;
-    sync_mirror_header();
+    sync_replica_header();
     mem.clwb(*ctx_, c_, slot_.header);
     mem.sfence(*ctx_, c_);
   }
@@ -498,44 +468,21 @@ bool Tx::validate_read_set() const {
 
 void Tx::psan_check_log_persisted(size_t first_entry, size_t n_entries,
                                   analysis::DiagKind kind, const char* what) {
-  if (!psan_ || n_entries == 0) return;
-  nvm::Memory& mem = rt_->pool().mem();
-  // Same contiguous-run walk as persist_log_range: the record range may
-  // span the base log and overflow segments.
-  while (n_entries > 0) {
-    auto [run, run_cap] = slot_.span_at(first_entry);
-    assert(run != nullptr && "psan_check_log_persisted past total_capacity");
-    const size_t n = std::min(n_entries, run_cap);
-    mem.psan_check_persisted(*ctx_, run, n * sizeof(LogEntry), kind, what);
-    first_entry += n;
-    n_entries -= n;
-  }
-}
-
-void Tx::psan_check_header_persisted(analysis::DiagKind kind, const char* what) {
   if (!psan_) return;
-  rt_->pool().mem().psan_check_persisted(*ctx_, slot_.header, sizeof(TxSlotHeader),
-                                         kind, what);
-}
-
-void Tx::psan_check_mirror_log_persisted(size_t first_entry, size_t n_entries,
-                                         analysis::DiagKind kind, const char* what) {
-  if (!psan_ || !slot_.mirrored || n_entries == 0) return;
   nvm::Memory& mem = rt_->pool().mem();
-  while (n_entries > 0) {
-    auto [run, run_cap] = slot_.mirror_span_at(first_entry);
-    assert(run != nullptr && "psan_check_mirror_log_persisted past total_capacity");
-    const size_t n = std::min(n_entries, run_cap);
-    mem.psan_check_persisted(*ctx_, run, n * sizeof(LogEntry), kind, what);
-    first_entry += n;
-    n_entries -= n;
+  // Every copy of the records travels in one flush batch (persist_log_range),
+  // so every copy is checked.
+  for (size_t k = 0; k < slot_.copies; k++) {
+    slot_.for_each_run(first_entry, n_entries, k, [&](const LogEntry* run, size_t n) {
+      mem.psan_check_persisted(*ctx_, run, n * sizeof(LogEntry), kind, what);
+    });
   }
 }
 
-void Tx::psan_check_mirror_header_persisted(analysis::DiagKind kind, const char* what) {
-  if (!psan_ || !slot_.mirrored) return;
-  rt_->pool().mem().psan_check_persisted(*ctx_, slot_.mirror_header,
-                                         sizeof(TxSlotHeader), kind, what);
+void Tx::psan_check_header_persisted(size_t copy, analysis::DiagKind kind, const char* what) {
+  if (!psan_) return;
+  rt_->pool().mem().psan_check_persisted(*ctx_, slot_.header_copy(copy), sizeof(TxSlotHeader),
+                                         kind, what);
 }
 
 void Tx::psan_check_dirty_persisted(analysis::DiagKind kind, const char* what) {

@@ -236,7 +236,7 @@ class Tx {
   /// on a conflict or a version newer than the start time.
   void acquire_orec(std::atomic<uint64_t>& orec);
   void append_log(uint64_t off, uint64_t val);
-  void append_alloc_word(uint64_t* entry, uint64_t word);
+  void append_alloc_word(uint64_t word);
   void persist_log_range(sim::ExecContext& ctx, stats::TxCounters* c,
                          size_t first_entry, size_t n_entries);
   void release_owned(uint64_t version_word);
@@ -247,19 +247,18 @@ class Tx {
   bool validate_read_set() const;
   void update_log_hwm();
 
-  /// Copy the sealed primary header to the mirror line and reseal the
+  /// Copy the sealed primary header to the replica header and reseal the
   /// primary's header CRC (log_mirror only; no-op otherwise). Caller owns
   /// flushing the primary header and fencing.
-  void sync_mirror_header();
+  void sync_replica_header();
 
   // Persistency-sanitizer ordering points (no-ops when psan_ is null).
   // Declared here, defined in tx.cpp where analysis/psan.h is visible.
+  // The log check covers every copy of the records; the header check
+  // covers one copy (SlotLayout::kPrimary or kReplica).
   void psan_check_log_persisted(size_t first_entry, size_t n_entries,
                                 analysis::DiagKind kind, const char* what);
-  void psan_check_header_persisted(analysis::DiagKind kind, const char* what);
-  void psan_check_mirror_log_persisted(size_t first_entry, size_t n_entries,
-                                       analysis::DiagKind kind, const char* what);
-  void psan_check_mirror_header_persisted(analysis::DiagKind kind, const char* what);
+  void psan_check_header_persisted(size_t copy, analysis::DiagKind kind, const char* what);
   void psan_check_dirty_persisted(analysis::DiagKind kind, const char* what);
 
   Runtime* rt_;

@@ -179,9 +179,17 @@ TEST(EpochCommit, FewerFencesPerCommitThanPerTx) {
 // Per-transaction commit is an epoch of one: both modes run the same seal
 // batches (Tx::seal), so a lone worker committing alone and an epoch of
 // one must issue the same clwbs, sfences and pmem stores per commit — for
-// both algorithms, with and without mirrored metadata.
+// both algorithms, with and without mirrored metadata. The totals are also
+// pinned: a copy loop that adds or drops a store, flush or fence for
+// either log copy moves them.
 TEST(EpochCommit, EpochOfOneIssuesThePerTxSequence) {
   constexpr int kTxs = 16;
+  struct Cost {
+    uint64_t clwbs, sfences, pmem_stores;
+  };
+  // Over kTxs commits of three word writes, ADR: [algo R, U][plain, mirrored].
+  constexpr Cost kPinned[2][2] = {{{84, 64, 256}, {132, 80, 432}},
+                                  {{148, 96, 288}, {276, 112, 544}}};
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
     for (bool mirror : {false, true}) {
       stats::TxCounters tot[2];  // over kTxs commits, so equal per commit
@@ -217,6 +225,10 @@ TEST(EpochCommit, EpochOfOneIssuesThePerTxSequence) {
       EXPECT_EQ(tot[0].sfences, tot[1].sfences) << ptm::algo_suffix(algo) << " " << leg;
       EXPECT_EQ(tot[0].pmem_stores, tot[1].pmem_stores)
           << ptm::algo_suffix(algo) << " " << leg;
+      const Cost& pin = kPinned[algo == ptm::Algo::kOrecLazy ? 0 : 1][mirror ? 1 : 0];
+      EXPECT_EQ(tot[0].clwbs, pin.clwbs) << ptm::algo_suffix(algo) << " " << leg;
+      EXPECT_EQ(tot[0].sfences, pin.sfences) << ptm::algo_suffix(algo) << " " << leg;
+      EXPECT_EQ(tot[0].pmem_stores, pin.pmem_stores) << ptm::algo_suffix(algo) << " " << leg;
     }
   }
 }

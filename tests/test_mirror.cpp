@@ -9,6 +9,8 @@
 // and the abort-backoff clamp.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ptm/orec.h"
 #include "ptm/redo_log.h"
 #include "ptm/runtime.h"
@@ -39,8 +41,8 @@ void seal_and_replicate(ptm::SlotLayout& slot, uint64_t n) {
   }
   slot.header->pad[ptm::SlotLayout::kLogCrcPad] = lc;
   slot.header->pad[ptm::SlotLayout::kHdrCrcPad] = ptm::slot_header_crc(*slot.header);
-  *slot.mirror_header = *slot.header;
-  for (uint64_t i = 0; i < n; i++) slot.mirror_log[i] = slot.log[i];
+  *slot.header_copy(ptm::SlotLayout::kReplica) = *slot.header;
+  for (uint64_t i = 0; i < n; i++) slot.log_copy(ptm::SlotLayout::kReplica)[i] = slot.log[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
   seal_and_replicate(slot, 1);
 
   pool.mem().inject_media_fault(pool.mem().line_of(&slot.log[0]));
-  pool.mem().inject_media_fault(pool.mem().line_of(&slot.mirror_log[0]));
+  pool.mem().inject_media_fault(pool.mem().line_of(slot.log_copy(ptm::SlotLayout::kReplica)));
 
   const auto rep = rt.recover(ctx);
   EXPECT_EQ(rep.records_replayed, 0u);
@@ -196,7 +198,7 @@ TEST(MirrorRecovery, BothCopiesPoisonedFailStopThrowsAfterSalvage) {
   seal_and_replicate(slot, 1);
 
   pool.mem().inject_media_fault(pool.mem().line_of(&slot.log[0]));
-  pool.mem().inject_media_fault(pool.mem().line_of(&slot.mirror_log[0]));
+  pool.mem().inject_media_fault(pool.mem().line_of(slot.log_copy(ptm::SlotLayout::kReplica)));
 
   EXPECT_THROW(rt.recover(ctx), ptm::MediaLossError);
   // Fail-stop still completes the salvage pass first, so the post-mortem
@@ -359,6 +361,145 @@ TEST(Scrub, DriverRunsScrubFiberAndReportsStats) {
   EXPECT_EQ(r.scrub.unrepairable, 0u);
   EXPECT_TRUE(r.recovery.mirror_enabled);
   EXPECT_GT(r.totals.commits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Mirrored overflow segments: a segment header copies the slot layout
+// (primary line, then its replica), so a damaged primary heals from the
+// replica instead of truncating the chain.
+
+constexpr size_t kMirrorMicroMeta = 5120;  // 28 base-log records per copy
+constexpr uint64_t kGrowWords = 60;        // 28 -> 56 -> 112: two growths
+
+nvm::SystemConfig grown_cfg() {
+  auto cfg = mirror_cfg();
+  cfg.per_worker_meta_bytes = kMirrorMicroMeta;
+  return cfg;
+}
+
+uint64_t* grow_words(nvm::Pool& pool) {
+  return reinterpret_cast<uint64_t*>(pool.heap_base() + pool.heap_bytes() / 2);
+}
+
+// Commit `base + i` to every grow word as one transaction on worker 0.
+void commit_grow_words(ptm::Runtime& rt, sim::ExecContext& ctx, uint64_t* words,
+                       uint64_t base) {
+  rt.run(ctx, [&](ptm::Tx& tx) {
+    for (uint64_t i = 0; i < kGrowWords; i++) tx.write(&words[i], base + i);
+  });
+}
+
+// Worker 0's slot with its overflow chain attached.
+ptm::SlotLayout attached_slot(nvm::Pool& pool) {
+  auto slot = ptm::SlotLayout::carve(pool.worker_meta(0), pool.worker_meta_bytes(),
+                                     /*mirror=*/true);
+  slot.attach_segments(pool);
+  return slot;
+}
+
+TEST(MirrorSegments, PoisonedSegmentHeaderIsRepairedByRecovery) {
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    auto cfg = grown_cfg();
+    nvm::Pool pool(cfg);
+    ptm::Runtime rt(pool, algo);
+    sim::RealContext ctx(0, cfg.max_workers);
+    rt.recover(ctx);
+    uint64_t* words = grow_words(pool);
+    commit_grow_words(rt, ctx, words, 1000);
+    ASSERT_EQ(stats::aggregate(rt.snapshot_counters()).log_growths, 2u);
+
+    const auto slot = attached_slot(pool);
+    ASSERT_EQ(slot.segs.size(), 2u);
+    ASSERT_NE(slot.segs[0]->flags & ptm::LogSegment::kFlagMirrored, 0u);
+    pool.mem().inject_media_fault(pool.mem().line_of(slot.segs[0]));
+
+    const auto rep = rt.recover(ctx);
+    EXPECT_EQ(rep.segment_links_truncated, 0u) << ptm::algo_suffix(algo);
+    EXPECT_GE(rep.records_repaired, 1u) << ptm::algo_suffix(algo);
+    EXPECT_EQ(rep.records_lost, 0u) << ptm::algo_suffix(algo);
+    EXPECT_FALSE(pool.mem().media_faulted(slot.segs[0], sizeof(ptm::LogSegment)))
+        << ptm::algo_suffix(algo) << ": repair must retire the segment header's fault";
+    for (uint64_t i = 0; i < kGrowWords; i++) {
+      ASSERT_EQ(words[i], 1000 + i) << ptm::algo_suffix(algo) << " word " << i;
+    }
+
+    // The chain survived whole: the same footprint commits without growing.
+    rt.reset_counters();
+    commit_grow_words(rt, ctx, words, 2000);
+    EXPECT_EQ(stats::aggregate(rt.snapshot_counters()).log_growths, 0u)
+        << ptm::algo_suffix(algo);
+    for (uint64_t i = 0; i < kGrowWords; i++) ASSERT_EQ(words[i], 2000 + i);
+  }
+}
+
+TEST(MirrorSegments, PoisonedSegmentHeaderIsRepairedByScrub) {
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    auto cfg = grown_cfg();
+    nvm::Pool pool(cfg);
+    ptm::Runtime rt(pool, algo);
+    sim::RealContext ctx(0, cfg.max_workers);
+    rt.recover(ctx);
+    uint64_t* words = grow_words(pool);
+    commit_grow_words(rt, ctx, words, 1000);
+
+    const auto slot = attached_slot(pool);
+    ASSERT_EQ(slot.segs.size(), 2u);
+    pool.mem().inject_media_fault(pool.mem().line_of(slot.segs[0]));
+
+    ptm::Scrubber scrub(rt);
+    scrub.run_pass(ctx);
+    const auto& s = scrub.stats();
+    EXPECT_GE(s.header_repairs, 1u) << ptm::algo_suffix(algo);
+    EXPECT_GE(s.repaired, 1u) << ptm::algo_suffix(algo);
+    EXPECT_EQ(s.unrepairable, 0u) << ptm::algo_suffix(algo);
+    EXPECT_FALSE(pool.mem().media_faulted(slot.segs[0], sizeof(ptm::LogSegment)))
+        << ptm::algo_suffix(algo) << ": scrub must retire the segment header's fault";
+
+    // Nothing is left for recovery: the chain walks whole, no repair runs.
+    const auto rep = rt.recover(ctx);
+    EXPECT_EQ(rep.segment_links_truncated, 0u) << ptm::algo_suffix(algo);
+    EXPECT_EQ(rep.records_repaired, 0u) << ptm::algo_suffix(algo);
+    EXPECT_EQ(rep.records_lost, 0u) << ptm::algo_suffix(algo);
+    for (uint64_t i = 0; i < kGrowWords; i++) {
+      ASSERT_EQ(words[i], 1000 + i) << ptm::algo_suffix(algo) << " word " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Slot sizing: a slot must hold every copy's header and alloc log plus one
+// record per copy, or the runtime refuses to build on it.
+
+TEST(MirrorLayout, CarveRejectsASlotWithoutRoomForOneRecordPerCopy) {
+  // Per copy: a 64-byte header and a 256-word alloc log.
+  constexpr size_t kFixed = sizeof(ptm::TxSlotHeader) + 256 * sizeof(uint64_t);
+  alignas(64) static char slot[2 * (kFixed + sizeof(ptm::LogEntry))];
+  for (const bool mirror : {false, true}) {
+    const size_t copies = mirror ? 2 : 1;
+    const size_t need = copies * (kFixed + sizeof(ptm::LogEntry));
+    const auto l = ptm::SlotLayout::carve(slot, need, mirror);
+    EXPECT_EQ(l.copies, copies);
+    EXPECT_EQ(l.log_capacity, 1u);
+    EXPECT_THROW(ptm::SlotLayout::carve(slot, need - 1, mirror), std::invalid_argument);
+  }
+}
+
+TEST(MirrorLayout, UndersizedMirroredSlotIsRejectedBeforeAnyTransaction) {
+  // 2560 bytes hold a 28-record log unmirrored, but not two copies of the
+  // slot's fixed part: the runtime must refuse the configuration instead
+  // of carving a log past the slot's end.
+  auto cfg = mirror_cfg();
+  cfg.per_worker_meta_bytes = 2560;
+  nvm::Pool pool(cfg);
+  sim::RealContext ctx(0, cfg.max_workers);
+  auto* root = pool.root<Root>();
+  EXPECT_THROW(
+      {
+        ptm::Runtime rt(pool, ptm::Algo::kOrecLazy);
+        rt.recover(ctx);
+        rt.run(ctx, [&](ptm::Tx& tx) { tx.write(&root->cells[0], uint64_t{1}); });
+      },
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

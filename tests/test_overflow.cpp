@@ -21,6 +21,8 @@ namespace {
 // Base-log capacity per per_worker_meta_bytes M: (M - 64 - 2048) / 16.
 constexpr size_t kTinyMeta = 1ull << 12;  // -> 124 base log entries
 constexpr size_t kMicroMeta = 2560;       // -> 28 base log entries
+// Mirrored, every region has two copies: (M - 2 * (64 + 2048)) / 32.
+constexpr size_t kMirrorMicroMeta = 5120;  // -> 28 base log entries per copy
 
 nvm::SystemConfig tiny_cfg(nvm::Domain domain, bool crash_sim = false) {
   auto cfg = test::small_cfg(domain, nvm::Media::kOptane, crash_sim);
@@ -313,12 +315,14 @@ TEST(EpochWrap, RecoveryPathQuiescesAndSkipsTagZero) {
 struct SweepParam {
   ptm::Algo algo;
   nvm::Domain domain;
+  bool mirror = false;
 };
 
 std::string sweep_param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string s = ptm::algo_suffix(info.param.algo);
   s += "_";
   s += nvm::domain_name(info.param.domain);
+  if (info.param.mirror) s += "_mirror";
   for (auto& ch : s) {
     if (ch == '-') ch = '_';
   }
@@ -331,11 +335,12 @@ constexpr uint64_t kSweepWords = 60;  // 28 -> 56 -> 112: two growths
 constexpr uint64_t kOldBase = 100;
 constexpr uint64_t kNewBase = 1000;
 
-nvm::SystemConfig sweep_cfg(nvm::Domain domain) {
-  auto cfg = test::small_cfg(domain, nvm::Media::kOptane, /*crash_sim=*/true);
+nvm::SystemConfig sweep_cfg(const SweepParam& p) {
+  auto cfg = test::small_cfg(p.domain, nvm::Media::kOptane, /*crash_sim=*/true);
   cfg.pool_size = 4ull << 20;
   cfg.max_workers = 2;
-  cfg.per_worker_meta_bytes = kMicroMeta;
+  cfg.log_mirror = p.mirror;
+  cfg.per_worker_meta_bytes = p.mirror ? kMirrorMicroMeta : kMicroMeta;
   return cfg;
 }
 
@@ -355,7 +360,7 @@ TEST_P(OverflowCrashSweep, EveryPersistenceEventRecoversConsistently) {
   // its shape (the commit must actually cross two overflow growths).
   uint64_t n_events;
   {
-    auto cfg = sweep_cfg(GetParam().domain);
+    auto cfg = sweep_cfg(GetParam());
     nvm::Pool pool(cfg);
     ptm::Runtime rt(pool, GetParam().algo);
     sim::RealContext ctx(0, cfg.max_workers);
@@ -371,7 +376,7 @@ TEST_P(OverflowCrashSweep, EveryPersistenceEventRecoversConsistently) {
   }
 
   for (uint64_t k = 1; k <= n_events; k++) {
-    auto cfg = sweep_cfg(GetParam().domain);
+    auto cfg = sweep_cfg(GetParam());
     nvm::Pool pool(cfg);
     ptm::Runtime rt(pool, GetParam().algo);
     sim::RealContext ctx(0, cfg.max_workers);
@@ -419,7 +424,12 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{ptm::Algo::kOrecEager, nvm::Domain::kAdr},
                       SweepParam{ptm::Algo::kOrecEager, nvm::Domain::kEadr},
                       SweepParam{ptm::Algo::kOrecEager, nvm::Domain::kPdram},
-                      SweepParam{ptm::Algo::kOrecEager, nvm::Domain::kPdramLite}),
+                      SweepParam{ptm::Algo::kOrecEager, nvm::Domain::kPdramLite},
+                      // Mirrored: each growth also writes the replica
+                      // segment header and tail link, so the sweep
+                      // crashes inside those writes too.
+                      SweepParam{ptm::Algo::kOrecLazy, nvm::Domain::kAdr, true},
+                      SweepParam{ptm::Algo::kOrecEager, nvm::Domain::kAdr, true}),
     sweep_param_name);
 
 }  // namespace
