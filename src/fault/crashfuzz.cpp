@@ -1,7 +1,6 @@
 #include "fault/crashfuzz.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -11,7 +10,6 @@
 #include "fault/harness.h"
 #include "ptm/containment.h"
 #include "ptm/redo_log.h"
-#include "sim/engine.h"
 
 namespace fault {
 
@@ -191,46 +189,21 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
       // Concurrent mode: the same transaction budget, split across DES
       // workers — epoch schedules need full-size epochs to form; kill
       // schedules need survivors to trip over a victim's locks and
-      // reclaim them. The engine runs every fiber to completion before
+      // reclaim them, plus the harness's watchdog fiber on the spare
+      // worker id. The engine runs every fiber to completion before
       // rethrowing the first CrashPoint (frozen memory kills the rest at
       // their next persistence event, and EpochManager marks stranded
       // members kCrashed), so the harness still sees exactly one
-      // CrashPoint for the whole group. With spec.kill an extra watchdog
-      // fiber patrols on the spare worker id; per-worker FiberKills are
-      // contained right here — the dead fiber just stops.
-      const bool dog_fiber = spec.kill;
-      sim::Engine engine(dog_fiber ? kEpochWorkers + 1 : kEpochWorkers);
-      std::atomic<int> active{kEpochWorkers};
+      // CrashPoint for the whole group.
       const int txs = (spec.workload == 0 ? kBankTxs : kChurnTxs) / kEpochWorkers;
-      engine.run([&](sim::ExecContext& wctx) {
-        if (dog_fiber && wctx.worker_id() == kEpochWorkers) {
-          while (active.load(std::memory_order_acquire) > 0) {
-            h.rt.containment()->sweep(wctx, &h.rt.counters(wctx.worker_id()));
-            if (active.load(std::memory_order_acquire) <= 0) break;
-            wctx.advance(kKillWatchdogNs);
-          }
-          return;
-        }
-        // Decrement on ANY exit — normal completion, FiberKill, or a
-        // CrashPoint unwinding — or the watchdog fiber never terminates.
-        struct ActiveGuard {
-          std::atomic<int>& a;
-          ~ActiveGuard() { a.fetch_sub(1, std::memory_order_acq_rel); }
-        } guard{active};
+      kill_sim_end = h.run_round(kEpochWorkers, kKillWatchdogNs, [&](sim::ExecContext& wctx) {
         util::Rng rng(spec.wl_seed * 2654435761ull + 7 +
                       0x9e3779b9ull * static_cast<uint64_t>(wctx.worker_id() + 1));
-        try {
-          for (int t = 0; t < txs; t++) {
-            if (spec.workload == 0) bank_tx(wctx, rng);
-            else churn_tx(wctx, rng);
-          }
-        } catch (const nvm::FiberKill&) {
-          // This worker is dead. Its speculative debris (locked orecs,
-          // mid-flight log slot) stays for containment to reclaim;
-          // survivors and the watchdog keep running.
+        for (int t = 0; t < txs; t++) {
+          if (spec.workload == 0) bank_tx(wctx, rng);
+          else churn_tx(wctx, rng);
         }
       });
-      kill_sim_end = engine.elapsed_ns();
     } else if (spec.workload == 0) {
       for (int t = 0; t < kBankTxs; t++) bank_tx(ctx, wl_rng);
     } else {
@@ -258,16 +231,14 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
     // commit record sealed, rolled back otherwise) with its orecs free;
     // un-killed workers' transactions all committed normally.
     if (ptm::ContainmentManager* cm = h.rt.containment()) {
-      sim::RealContext vctx(kEpochWorkers, cfg.max_workers);
-      vctx.advance(kill_sim_end + 2 * kKillTimeoutNs + 1);
-      cm->sweep(vctx, nullptr);
+      h.sweep_after_round(kEpochWorkers, kill_sim_end + 2 * kKillTimeoutNs + 1);
       const Oracle::Result ores = h.verify();
       if (!ores.ok) {
         return fail("online containment oracle: " + ores.detail);
       }
       // Lift the quarantine so the invariant checks (and the power-fail
       // recovery below) can reuse the killed workers' descriptors.
-      cm->revive_all();
+      cm->reset();
     }
   }
 

@@ -16,7 +16,9 @@
 // transactions would legitimately change them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "nvm/pool.h"
 #include "ptm/runtime.h"
 #include "sim/context.h"
+#include "sim/engine.h"
 #include "util/rng.h"
 
 namespace fault {
@@ -54,6 +57,65 @@ class CrashHarness {
       crashed = true;
     }
     return crashed;
+  }
+
+  /// Run `body` on `workers` concurrent DES fibers (worker ids 0 ..
+  /// workers-1) and return the engine's final simulated time. A fiber that
+  /// a thread fault kills (nvm::FiberKill) just stops, leaving its debris
+  /// to containment, and counts in *kills_out. With a containment manager,
+  /// a watchdog fiber on id `workers` sweeps every `patrol_ns` until every
+  /// worker fiber has exited. A fault that kills the watchdog itself (say
+  /// mid-reclamation) is recorded as Runtime::run records a worker's
+  /// death, so the reclaim guard it held can be stolen, and ends the
+  /// fiber. A power failure (nvm::CrashPoint) propagates once every fiber
+  /// has finished.
+  uint64_t run_round(int workers, uint64_t patrol_ns,
+                     const std::function<void(sim::ExecContext&)>& body,
+                     int* kills_out = nullptr) {
+    ptm::ContainmentManager* cm = rt.containment();
+    sim::Engine engine(cm != nullptr ? workers + 1 : workers);
+    std::atomic<int> active{workers};
+    int kills = 0;
+    engine.run([&](sim::ExecContext& wctx) {
+      if (wctx.worker_id() == workers) {
+        try {
+          while (active.load(std::memory_order_acquire) > 0) {
+            cm->sweep(wctx, &rt.counters(wctx.worker_id()));
+            if (active.load(std::memory_order_acquire) <= 0) break;
+            wctx.advance(patrol_ns);
+          }
+        } catch (const nvm::FiberKill&) {
+          cm->mark_dead(wctx.worker_id());
+        }
+        return;
+      }
+      // Decrement on ANY exit — completion, FiberKill, or a CrashPoint
+      // unwinding — or the watchdog fiber never terminates.
+      struct ActiveGuard {
+        std::atomic<int>& a;
+        ~ActiveGuard() { a.fetch_sub(1, std::memory_order_acq_rel); }
+      } guard{active};
+      try {
+        body(wctx);
+      } catch (const nvm::FiberKill&) {
+        kills++;
+      }
+    });
+    if (kills_out != nullptr) *kills_out = kills;
+    return engine.elapsed_ns();
+  }
+
+  /// After a run_round over `workers` fibers: sweep from a fresh context
+  /// on the watchdog's id at sim-time `at_ns` (past every lease expiry) to
+  /// reclaim whatever the kills left behind. The id's quarantine is lifted
+  /// first — a watchdog killed in the round left it dead, perhaps fenced or
+  /// holding a reclaim guard.
+  void sweep_after_round(int workers, uint64_t at_ns) {
+    ptm::ContainmentManager* cm = rt.containment();
+    cm->revive(workers);
+    sim::RealContext vctx(workers, pool.config().max_workers);
+    vctx.advance(at_ns);
+    cm->sweep(vctx, nullptr);
   }
 
   /// Resolve the crash image, then recover. Detaches the oracle first so

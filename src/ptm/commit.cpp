@@ -31,7 +31,7 @@ void Tx::commit_writes() {
     // ack: the wait is kEpochWait, the leader's batches kEpochDrain.
     if (redo) seal_header();
     ep->commit(*this);
-    committed_hint_ = true;  // reclamation must now roll FORWARD
+    committed_ = true;  // reclamation must now roll FORWARD
     if (redo) write_back(/*timed=*/true);
   } else {
     // An epoch of one. One flush-drain window covers the seal and the
@@ -42,7 +42,7 @@ void Tx::commit_writes() {
     if (redo) seal_header();
     Tx* self = this;
     seal({&self, 1}, *ctx_, c_, [] {});
-    committed_hint_ = true;  // reclamation must now roll FORWARD
+    committed_ = true;  // reclamation must now roll FORWARD
     if (redo) write_back(/*timed=*/false);
   }
 

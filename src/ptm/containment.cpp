@@ -133,6 +133,9 @@ bool ContainmentManager::reclaim(int victim, sim::ExecContext& ctx,
       return false;
     }
     ws_[static_cast<size_t>(cur)].fenced.store(true, std::memory_order_release);
+    // HB edge: the successor re-runs the holder's pass over the words it
+    // stored, as a leadership takeover re-runs a drain.
+    if (analysis::Rsan* rs = rt_.pool().mem().rsan()) rs->on_inherit(me, cur);
   } else if (!vs.reclaim_by.compare_exchange_strong(cur, me,
                                                     std::memory_order_acq_rel)) {
     return false;
@@ -170,8 +173,6 @@ bool ContainmentManager::reclaim_locked(int victim, sim::ExecContext& ctx,
                                         stats::TxCounters* c) {
   WorkerState& vs = ws_[static_cast<size_t>(victim)];
   Tx& vtx = *rt_.txs_[static_cast<size_t>(victim)];
-  nvm::Pool& pool = rt_.pool();
-  nvm::Memory& mem = pool.mem();
   // HB edge: the victim is fenced (it can never store again), so the
   // reclaimer inherits its clock — and its orec ownership, which licenses
   // the replay/undo surgery below on lines the victim's orecs still cover.
@@ -200,61 +201,20 @@ bool ContainmentManager::reclaim_locked(int victim, sim::ExecContext& ctx,
     ep->forget(victim);
   }
 
-  // Dispatch on what is durably decided. Absent a power failure the pool
-  // image holds every store the victim issued, so the slot header is the
-  // ground truth for "commit record sealed". The volatile committed_hint_
-  // covers the post-retire window where the header already shows the next
-  // epoch's IDLE but orecs/observer work is unfinished; an acked epoch
-  // member (phase 2) is durably committed by the epoch's batch C fence.
+  // The verdict, decided before the first store and kept in the
+  // descriptor: forward for an acked epoch member, a sealed commit or a
+  // COMMITTED header. A reclaimer taking over from a dead one reuses it
+  // rather than re-reading a header the first may have retired.
   const uint64_t st = vtx.slot_.header->status;
-  const bool committed =
-      phase == 2 || vtx.committed_hint_ ||
-      (TxSlotHeader::state_of(st) == TxSlotHeader::kCommitted &&
-       TxSlotHeader::epoch_of(st) == vtx.epoch_);
+  vtx.committed_ = vtx.committed_ || phase == 2 ||
+                   TxSlotHeader::state_of(st) == TxSlotHeader::kCommitted;
+  const bool committed = vtx.committed_;
 
-  if (committed) {
-    // Roll FORWARD. Lazy: replay the sealed redo log to the home
-    // locations (idempotent across reclaimer deaths — re-storing the
-    // committed values is harmless while the victim's orecs are held);
-    // eager: the data is already in place. Then the committed frees.
-    if (vtx.algo_ == Algo::kOrecLazy) {
-      apply_records(pool, ctx, c, vtx.slot_, vtx.n_log_, /*newest_first=*/false, vtx.dirty_);
-    }
-    if (flush_lines(pool, ctx, c, vtx.dirty_)) mem.sfence(ctx, c);
-    for (void* p : vtx.tx_frees_) rt_.alloc_.free_block_if_absent(ctx, c, p);
-  } else {
-    // Roll BACK. Eager: apply the undo log newest-first to the in-place
-    // homes (only when the durable header still shows this epoch ACTIVE —
-    // an already-quiesced slot has nothing to undo); lazy: the unsealed
-    // redo log is simply discarded. Then cancel speculative allocations.
-    if (vtx.algo_ == Algo::kOrecEager && vtx.n_log_ > 0 &&
-        TxSlotHeader::state_of(st) == TxSlotHeader::kActive &&
-        TxSlotHeader::epoch_of(st) == vtx.epoch_) {
-      apply_records(pool, ctx, c, vtx.slot_, vtx.n_log_, /*newest_first=*/true, vtx.dirty_);
-      flush_lines(pool, ctx, c, vtx.dirty_);
-      mem.sfence(ctx, c);
-    }
-    for (void* p : vtx.tx_allocs_) rt_.alloc_.free_block_if_absent(ctx, c, p);
-  }
-  // Blocks allocated by a committed victim stay allocated (their offsets
-  // are in committed state); blocks freed by an aborted one stay live.
-  // Both vectors clear only after their effects are applied above — a
-  // reclaimer killed before this line leaves them for its successor.
-  vtx.tx_allocs_.clear();
-  vtx.tx_frees_.clear();
-
-  // Durably retire the slot to IDLE for the next epoch — through the
-  // RECLAIMER's context (advancing a dead fiber's context would corrupt
-  // the engine). Double epoch bumps across restarted reclaims only skip
-  // values, which the tag scheme tolerates by construction.
-  vtx.n_log_ = 0;
-  vtx.n_alloc_log_ = 0;
-  vtx.epoch_ = retire_slot(pool, ctx, c, vtx.slot_, vtx.epoch_ + 1);
-  vtx.windex_.clear();
-  vtx.dirty_.clear();
-  vtx.read_set_.clear();
-  vtx.active_persisted_ = false;
-  vtx.committed_hint_ = false;
+  // The slot: recovery's pass, through the RECLAIMER's context (advancing
+  // a dead fiber's context would corrupt the engine). Absent a power
+  // failure the pool holds every store the victim issued.
+  stats::RecoveryReport pass;
+  rt_.resolve_slot(victim, ctx, c, pass);
 
   // Release the victim's orecs. CAS, not blind store: if the victim (or a
   // previous reclaimer) already released some — or a later transaction has
@@ -305,7 +265,16 @@ void ContainmentManager::reset() {
   }
 }
 
-void ContainmentManager::revive_all() { reset(); }
+void ContainmentManager::revive(int w) {
+  if (w < 0 || w >= n_) return;
+  ws_[static_cast<size_t>(w)].dead.store(false, std::memory_order_relaxed);
+  ws_[static_cast<size_t>(w)].fenced.store(false, std::memory_order_relaxed);
+  for (int v = 0; v < n_; v++) {
+    int held = w;
+    ws_[static_cast<size_t>(v)].reclaim_by.compare_exchange_strong(held, -1,
+                                                                  std::memory_order_acq_rel);
+  }
+}
 
 stats::ContainmentStats ContainmentManager::snapshot() const { return stats_; }
 

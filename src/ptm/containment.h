@@ -13,11 +13,11 @@
 //    tive state;
 //  * a waiter that finds an orec locked by an expired owner — or a
 //    watchdog fiber calling sweep() on its own cadence — reclaims the
-//    victim's transaction ON ITS BEHALF: complete it forward if its
-//    commit record is sealed (replay the redo log / keep the in-place
-//    data), roll it back otherwise (apply the undo log / discard the
-//    unsealed redo log), durably retire the slot to IDLE, release the
-//    victim's orecs, and quarantine the descriptor;
+//    victim's transaction ON ITS BEHALF: recovery's per-slot pass
+//    (Runtime::resolve_slot) on the reclaimer's context, then the orec
+//    release — a fresh version if the transaction committed, each pre-
+//    lock word if not. That verdict is decided once, before the first
+//    store, and kept in the quarantined victim's descriptor;
 //  * an epoch member whose drain leader died steals the expired leadership
 //    lease and re-runs the fence batches (EpochManager::try_lead).
 //
@@ -28,9 +28,10 @@
 // store could land after the reclaimer rewired the slot. This is the
 // simulator's analogue of "the OS confirmed the thread is gone" (robust
 // futexes / pthread_tryjoin in a real implementation). Reclamation itself
-// is restartable: every step is idempotent, the per-victim reclaim guard
-// is itself lease-stealable, and a worker fenced mid-anything dies at its
-// next heartbeat or stall-wake before issuing another store.
+// is restartable: the per-victim reclaim guard is lease-stealable, a
+// successor re-runs the pass (as a crash during recovery does) under the
+// recorded verdict, and a worker fenced mid-anything dies at its next
+// heartbeat or stall-wake before issuing another store.
 //
 // With tx_timeout_ns == 0 the Runtime never constructs a manager: every
 // hook in the hot paths is a single null-pointer test, and default-config
@@ -113,15 +114,17 @@ class ContainmentManager {
 
   // ----- maintenance -----------------------------------------------------
 
-  /// Drop all volatile containment state (Runtime::recover): leases,
-  /// dead/fenced quarantine flags, reclaim guards. After a power failure
-  /// recovery owns every slot; no online verdict survives it.
+  /// Drop all volatile containment state: leases, dead/fenced quarantine
+  /// flags, reclaim guards. Runtime::recover calls it (after a power
+  /// failure recovery owns every slot; no online verdict survives it), and
+  /// a harness calls it to reuse killed workers' descriptors once their
+  /// state is reclaimed or recovered. Leases restart from the next beat.
   void reset();
 
-  /// Lift the quarantine so a test/verification harness can reuse killed
-  /// workers' descriptors *after* reclaiming or recovering their state.
-  /// Leases restart from the next beat.
-  void revive_all();
+  /// Lift worker `w`'s quarantine so a harness can reuse its id after a
+  /// round: its dead and fenced flags clear, and any reclaim guard it died
+  /// holding is released (the next reclaimer restarts that reclamation).
+  void revive(int w);
 
   uint64_t timeout_ns() const { return timeout_ns_; }
 
@@ -147,10 +150,10 @@ class ContainmentManager {
   /// true when the slot was retired (or found already clean).
   bool reclaim(int victim, sim::ExecContext& ctx, stats::TxCounters* c);
 
-  /// The surgery proper (guard held, victim fenced): resolve the epoch
-  /// phase, dispatch on the slot's durable status, roll forward/back
-  /// (ptm::apply_records), retire (ptm::retire_slot), release, notify — every
-  /// store, flush and fence through the reclaimer's context.
+  /// The reclamation proper (guard held, victim fenced): resolve the
+  /// epoch phase, decide the verdict, run the slot's recovery pass
+  /// (Runtime::resolve_slot), release the orecs, notify — every store,
+  /// flush and fence through the reclaimer's context.
   bool reclaim_locked(int victim, sim::ExecContext& ctx, stats::TxCounters* c);
 
   Runtime& rt_;

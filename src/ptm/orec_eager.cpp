@@ -73,7 +73,7 @@ void Tx::eager_write(uint64_t* waddr, uint64_t val) {
 
 void Tx::eager_commit() {
   ctx_->advance(static_cast<uint64_t>(rt_->pool().config().cost.tx_commit_ns));
-  if (owned_.empty() && tx_frees_.empty() && n_alloc_log_ == 0) {
+  if (owned_.empty() && n_alloc_log_ == 0) {
     return;  // read-only
   }
   // The undo records and the ACTIVE header are durable already (one fence

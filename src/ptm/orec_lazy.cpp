@@ -55,7 +55,7 @@ void Tx::lazy_commit() {
   const nvm::CostModel& cm = pool.config().cost;
   ctx_->advance(static_cast<uint64_t>(cm.tx_commit_ns));
 
-  if (n_log_ == 0 && tx_frees_.empty() && n_alloc_log_ == 0) {
+  if (n_log_ == 0 && n_alloc_log_ == 0) {
     // Read-only: reads were validated incrementally; nothing to persist.
     return;
   }

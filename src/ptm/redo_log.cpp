@@ -110,7 +110,7 @@ bool slot_header_crc_ok(const TxSlotHeader& h) {
 }
 
 void seal_replica_header(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
-                         SlotLayout& slot, uint64_t mirror_status) {
+                         SlotLayout& slot, uint64_t mirror_status, bool no_records) {
   if (!slot.mirrored()) return;
   nvm::Memory& mem = pool.mem();
   // A full sealed image carrying `mirror_status`, on its own line, flushed
@@ -118,6 +118,7 @@ void seal_replica_header(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounte
   TxSlotHeader img;
   std::memcpy(&img, slot.header, sizeof(img));
   img.status = mirror_status;
+  if (no_records) img.log_count = img.alloc_count = 0;
   img.pad[SlotLayout::kHdrCrcPad] = slot_header_crc(img);
   TxSlotHeader* rep = slot.header_copy(SlotLayout::kReplica);
   mem.store_bytes(ctx, c, rep, &img, sizeof(img), nvm::Space::kLog);
@@ -212,23 +213,29 @@ bool flush_lines(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
 uint64_t retire_slot(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
                      SlotLayout& slot, uint64_t epoch) {
   nvm::Memory& mem = pool.mem();
+  // Tag 0 is reserved for zeroed memory: a retire onto it wraps past it.
+  const bool wrap = (epoch & LogEntry::kTagMask) == 0;
+  if (wrap) epoch++;
+  const uint64_t word = TxSlotHeader::make(epoch, TxSlotHeader::kIdle);
+  // Replica first (program order), the whole retired image: the mirror is
+  // never behind the primary. A retire cut short (a reclaimer killed here)
+  // leaves an untouched primary, or a torn one beside a retired replica;
+  // never a torn primary beside the COMMITTED image of batch B, which the
+  // next pass would trust over a transaction already judged uncommitted.
+  seal_replica_header(pool, ctx, c, slot, word, /*no_records=*/true);
   // All header fields share one cache line, so the counts and the IDLE
   // status persist together under the flush + fence below.
   mem.store_word(ctx, c, &slot.header->log_count, 0, nvm::Space::kLog);
   mem.store_word(ctx, c, &slot.header->alloc_count, 0, nvm::Space::kLog);
-  if ((epoch & LogEntry::kTagMask) == 0) {
+  if (wrap) {
     // The 24-bit epoch tag wrapped: records written 2^24 epochs ago would
     // now tag-match again. Durably erase every leftover record before
-    // entering the reused tag space, then skip tag 0 (reserved for zeroed
-    // memory). Crash-safe at any point: the quiesce only zeroes retired
-    // records, and until the status below persists the slot still shows
-    // the pre-wrap epoch, for which zeroed logs are a valid (empty) state.
+    // entering the reused tag space. Crash-safe at any point: the quiesce
+    // only zeroes retired records, and until the status below persists
+    // the primary still shows the pre-wrap epoch, for which zeroed logs
+    // are a valid (empty) state.
     zero_slot_logs(pool, ctx, c, slot);
-    epoch++;
   }
-  const uint64_t word = TxSlotHeader::make(epoch, TxSlotHeader::kIdle);
-  // Replica first (program order): the mirror is never behind the primary.
-  seal_replica_header(pool, ctx, c, slot, word);
   mem.store_word(ctx, c, &slot.header->status, word, nvm::Space::kLog);
   seal_primary_header_crc(pool, ctx, c, slot);
   mem.clwb(ctx, c, slot.header);

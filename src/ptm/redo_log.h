@@ -122,6 +122,15 @@ struct TxSlotHeader {
   static uint64_t make(uint64_t epoch, uint64_t state) { return (epoch << 8) | state; }
   static uint64_t state_of(uint64_t s) { return s & 0xff; }
   static uint64_t epoch_of(uint64_t s) { return s >> 8; }
+
+  /// The epoch a transaction in a slot showing status `s` tags its records
+  /// with: the header's own, stepped past the reserved tag 0 (LogEntry). A
+  /// fresh slot shows IDLE epoch 0 while its first transaction runs at 1.
+  /// Tx::Tx, recovery's record screen and recovery's retire all use it.
+  static uint64_t live_epoch(uint64_t s) {
+    const uint64_t e = epoch_of(s);
+    return (e & LogEntry::kTagMask) == 0 ? e + 1 : e;
+  }
 };
 static_assert(sizeof(TxSlotHeader) == 64);
 
@@ -308,11 +317,12 @@ bool slot_header_crc_ok(const TxSlotHeader& h);
 /// The two images differ on purpose: passing the primary's current status
 /// keeps the copies identical; passing a kCommitted status ahead of the
 /// primary seal is how the commit paths make "mirror durable before
-/// primary seal" hold (batch B). The caller owns the primary's CRC reseal
-/// (seal_primary_header_crc), the primary header flush, and the fence.
-/// No-op when not mirrored.
+/// primary seal" hold (batch B). `no_records` also zeroes both counts in
+/// the image: retire_slot's retired header, written ahead of the primary.
+/// The caller owns the primary's CRC reseal (seal_primary_header_crc), the
+/// primary header flush, and the fence. No-op when not mirrored.
 void seal_replica_header(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
-                         SlotLayout& slot, uint64_t mirror_status);
+                         SlotLayout& slot, uint64_t mirror_status, bool no_records = false);
 
 /// Recompute and store the primary header's CRC pad word over its current
 /// content. Must follow any primary header field/status store when
@@ -366,11 +376,11 @@ bool flush_lines(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
                  const DirtyLines& lines);
 
 /// Durably retire `slot` to IDLE for `epoch`, issued through (ctx, c):
-/// zero both counts, wipe the logs and step past `epoch` when it lands on
-/// the reserved tag 0 (see LogEntry), write the sealed status mirror-first,
-/// then flush the header line and fence. Returns the epoch the slot now
-/// shows. The one retire shared by commit, rollback, on-behalf reclamation
-/// and recovery's quiesce.
+/// the whole retired header to the mirror first, then zero both counts,
+/// wipe the logs and step past `epoch` when it lands on the reserved tag 0
+/// (see LogEntry), store the sealed status, flush the header line and
+/// fence. Returns the epoch the slot now shows. The one retire shared by
+/// commit, rollback, on-behalf reclamation and recovery's quiesce.
 uint64_t retire_slot(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c,
                      SlotLayout& slot, uint64_t epoch);
 

@@ -171,8 +171,18 @@ class Runtime {
 
  private:
   friend class Tx;
-  friend class Recovery;
   friend class ContainmentManager;
+
+  /// Resolve worker `w`'s log slot from the slot alone, every store, flush
+  /// and fence issued through (ctx, c): screen the header (with mirror
+  /// repair), replay a COMMITTED redo log or roll back an ACTIVE undo log,
+  /// apply a committed transaction's frees or cancel an uncommitted one's
+  /// allocations from the alloc log, retire the slot past its live epoch,
+  /// and refresh the worker's descriptor. Tallies into `rep`. recover()
+  /// runs it for every slot; on-behalf reclamation runs it for a dead
+  /// worker's slot on the reclaimer's context.
+  void resolve_slot(int w, sim::ExecContext& ctx, stats::TxCounters* c,
+                    stats::RecoveryReport& rep);
 
   nvm::Pool& pool_;
   Algo algo_;

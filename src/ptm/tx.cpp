@@ -28,13 +28,12 @@ Tx::Tx(Runtime& rt, int worker)
                             pool.config().log_mirror);
   slot_.attach_segments(pool);
   cm_ = rt.containment();
-  epoch_ = TxSlotHeader::epoch_of(slot_.header->status);
   // Tag 0 is reserved (zero-filled log memory must never alias a live
-  // record); a fresh pool starts at epoch 0, so step past it. The durable
-  // status catches up at the first retire_logs/recovery — until then the
-  // slot shows an older IDLE epoch, which only makes stale records *more*
-  // stale, never current.
-  if ((epoch_ & LogEntry::kTagMask) == 0) epoch_++;
+  // record) and a fresh pool's slots show epoch 0, so run at the slot's
+  // live epoch. The durable status catches up at the first retire or
+  // recovery; until then recovery's screen derives the same live epoch
+  // from the older IDLE header.
+  epoch_ = TxSlotHeader::live_epoch(slot_.header->status);
 }
 
 void Tx::begin() {
@@ -43,7 +42,7 @@ void Tx::begin() {
   // before any speculative state exists. Throws FiberKill for a dead or
   // fenced descriptor — nothing below must run for a zombie.
   if (cm_) cm_->enter_tx(worker_, ctx_->now_ns());
-  committed_hint_ = false;
+  committed_ = false;
   start_time_ = rt_->orecs().sample_clock();
   n_log_ = 0;
   n_alloc_log_ = 0;
@@ -53,8 +52,6 @@ void Tx::begin() {
   owned_.clear();
   dirty_.clear();
   windex_.clear();
-  tx_allocs_.clear();
-  tx_frees_.clear();
   ctx_->advance(static_cast<uint64_t>(rt_->pool().config().cost.tx_begin_ns));
   if (psan_) psan_->on_tx_begin(worker_);
   if (rsan_) rsan_->on_tx_begin(worker_);
@@ -147,12 +144,16 @@ void Tx::commit() {
 void Tx::handle_abort() {
   stats::PhaseTimer pt(*ctx_, &c_->phases, stats::Phase::kAbortBackoff);
   analysis::PhaseScope ps(psan_, worker_, stats::Phase::kAbortBackoff);
+  // The alloc log names the blocks to return, but an undo rollback retires
+  // the slot first, which clears the log (its count; across the tag wrap,
+  // its words): copy it out beforehand.
+  const std::vector<uint64_t> logged(slot_.alloc_log, slot_.alloc_log + n_alloc_log_);
   if (algo_ == Algo::kOrecEager) {
     eager_rollback();
   } else {
     restore_owned();  // redo: home locations untouched, the log is discarded
   }
-  cancel_allocs();
+  cancel_allocs(logged);
   if (psan_) psan_->on_tx_end(worker_);
   if (rsan_) rsan_->on_tx_end(worker_);
   if (TxObserver* ob = rt_->observer()) ob->on_abort(worker_);
@@ -280,13 +281,12 @@ void Tx::grow_for_capacity() {
 
 void* Tx::alloc(size_t n) {
   // Capacity check BEFORE the allocation: aborting after allocator().alloc
-  // but before tx_allocs_.push_back would leak the block (cancel_allocs
-  // only returns registered blocks).
+  // but before the block is logged would leak it (abort only returns the
+  // blocks the alloc log names).
   if (n_alloc_log_ >= slot_.alloc_log_cap) capacity_abort(CapacityKind::kAllocLog);
   void* p = rt_->allocator().alloc(*ctx_, c_, n);
   analysis::PhaseScope ps(psan_, worker_, stats::Phase::kLogAppend);
   append_alloc_word(AllocLogOp::make(rt_->pool().offset_of(p), AllocLogOp::kAlloc, epoch_));
-  tx_allocs_.push_back(p);
   return p;
 }
 
@@ -294,7 +294,6 @@ void Tx::dealloc(void* p) {
   if (n_alloc_log_ >= slot_.alloc_log_cap) capacity_abort(CapacityKind::kAllocLog);
   analysis::PhaseScope ps(psan_, worker_, stats::Phase::kLogAppend);
   append_alloc_word(AllocLogOp::make(rt_->pool().offset_of(p), AllocLogOp::kFree, epoch_));
-  tx_frees_.push_back(p);
 }
 
 void Tx::append_alloc_word(uint64_t word) {
@@ -374,12 +373,12 @@ void Tx::restore_owned() {
   owned_.clear();
 }
 
-void Tx::cancel_allocs() {
-  for (void* p : tx_allocs_) {
-    rt_->allocator().free_block(*ctx_, c_, p);
+void Tx::cancel_allocs(std::span<const uint64_t> words) {
+  for (const uint64_t w : words) {
+    if (AllocLogOp::op_of(w) == AllocLogOp::kAlloc) {
+      rt_->allocator().free_block(*ctx_, c_, rt_->pool().at(AllocLogOp::off_of(w)));
+    }
   }
-  tx_allocs_.clear();
-  tx_frees_.clear();
   if (n_alloc_log_ > 0) {
     nvm::Memory& mem = rt_->pool().mem();
     mem.store_word(*ctx_, c_, &slot_.header->alloc_count, 0, nvm::Space::kLog);
@@ -391,11 +390,12 @@ void Tx::cancel_allocs() {
 }
 
 void Tx::apply_frees() {
-  for (void* p : tx_frees_) {
-    rt_->allocator().free_block(*ctx_, c_, p);
+  for (size_t i = 0; i < n_alloc_log_; i++) {
+    const uint64_t w = slot_.alloc_log[i];
+    if (AllocLogOp::op_of(w) == AllocLogOp::kFree) {
+      rt_->allocator().free_block(*ctx_, c_, rt_->pool().at(AllocLogOp::off_of(w)));
+    }
   }
-  tx_frees_.clear();
-  tx_allocs_.clear();
 }
 
 void Tx::retire_logs() {

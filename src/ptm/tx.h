@@ -144,7 +144,6 @@ class Tx {
 
  private:
   friend class Runtime;
-  friend class Recovery;
   friend class EpochManager;
   friend class ContainmentManager;
 
@@ -241,7 +240,11 @@ class Tx {
                          size_t first_entry, size_t n_entries);
   void release_owned(uint64_t version_word);
   void restore_owned();  // abort: every acquired orec back to its pre-lock word
-  void cancel_allocs();
+  /// The alloc log is a transaction's one record of its allocations and
+  /// deferred frees. Abort frees every block `words` (its alloc-log words)
+  /// allocated and durably clears the log's count; commit frees every
+  /// block the log deallocates. Both walk in log order.
+  void cancel_allocs(std::span<const uint64_t> words);
   void apply_frees();
   void retire_logs();  // durably clear counts + set IDLE for the next epoch
   bool validate_read_set() const;
@@ -280,21 +283,17 @@ class Tx {
   bool active_persisted_ = false;  // eager: ACTIVE status already durable
   bool crc_logs_ = false;          // seal log records (crash_sim configs)
   uint64_t commit_ticket_ = 0;     // orec-clock ticket of the last commit
-  /// Volatile "the commit point is durably sealed" marker for on-behalf
-  /// reclamation: set the instant the commit record (or epoch ack) is
-  /// durable, cleared at begin/retire. Disambiguates a worker killed
-  /// mid/post-retire (header already IDLE for the next epoch, but orec
-  /// release and observer notification unfinished — must complete forward)
-  /// from one killed mid-transaction under lazy (also IDLE header — must
-  /// discard). DRAM-only by design: after a power failure recovery uses
-  /// only durable state.
-  bool committed_hint_ = false;
+  /// On-behalf reclamation's forward verdict (DRAM only; cleared at
+  /// begin): set once the commit point is durable, or by the first
+  /// reclaimer that judges the transaction committed, before its first
+  /// store. It tells a worker killed after its retire (the next epoch's
+  /// IDLE header) from a redo transaction that never sealed, and a
+  /// takeover reclaimer reuses it rather than re-read a retired header.
+  bool committed_ = false;
 
   std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> read_set_;
   std::vector<OwnedOrec> owned_;
   DirtyLines dirty_;
-  std::vector<void*> tx_allocs_;
-  std::vector<void*> tx_frees_;
 
   uint64_t attempt_ = 0;
   stats::AbortCause last_abort_cause_ = stats::AbortCause::kExplicit;

@@ -22,6 +22,12 @@
 //  * Epoch leader takeover: killing a drain leader mid-epoch must let a
 //    survivor steal the expired leadership lease and finish the drain.
 //
+//  * Reclamation is recovery's per-slot pass: a reclaimer killed mid-pass
+//    hands its verdict to the next one, a killed transaction's logged
+//    allocations are cancelled online, the first transaction on a
+//    never-recovered pool is cancelled by recovery, and a watchdog killed
+//    mid-reclamation does not hang the survivors.
+//
 //  * Backoff cap: the pinned contract for ptm::kBackoffMaxNs
 //    (ptm/backoff.h) — capped draws land in [cap - cap/8, cap] with real
 //    jitter, and the default base/cap never bind, preserving the exact
@@ -29,11 +35,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
+#include "fault/crashfuzz.h"
 #include "ptm/backoff.h"
 #include "ptm/containment.h"
 #include "ptm/runtime.h"
-#include "sim/engine.h"
 #include "test_common.h"
 
 namespace {
@@ -68,57 +75,35 @@ void populate(fault::CrashHarness& h, sim::ExecContext& ctx) {
   });
 }
 
-// One concurrent round: kWorkers fibers run `txs` transfers each —
-// contended (randomized endpoints) or disjoint (worker w owns accounts
-// 2w/2w+1) — with a watchdog fiber patrolling on the spare worker id.
-// Mirrors the crashfuzz concurrent runner: per-worker FiberKills are
-// contained at the fiber boundary, and the watchdog exits once every
-// worker fiber is done. Returns the engine's final simulated time.
+// One concurrent round (CrashHarness::run_round, the crashfuzz runner):
+// kWorkers fibers run `txs` transfers each — contended (randomized
+// endpoints) or disjoint (worker w owns accounts 2w/2w+1) — with the
+// watchdog fiber patrolling on the spare worker id. Returns the engine's
+// final simulated time.
 uint64_t contended_round(fault::CrashHarness& h, int txs, uint64_t wl_seed,
                          bool disjoint, int* kills_out = nullptr) {
   auto* root = h.pool.root<BankRoot>();
-  sim::Engine engine(kWorkers + 1);
-  std::atomic<int> active{kWorkers};
-  int kills = 0;
-  engine.run([&](sim::ExecContext& wctx) {
-    if (wctx.worker_id() == kWorkers) {
-      while (active.load(std::memory_order_acquire) > 0) {
-        h.rt.containment()->sweep(wctx, &h.rt.counters(wctx.worker_id()));
-        if (active.load(std::memory_order_acquire) <= 0) break;
-        wctx.advance(kWatchdogNs);
-      }
-      return;
-    }
-    struct ActiveGuard {
-      std::atomic<int>& a;
-      ~ActiveGuard() { a.fetch_sub(1, std::memory_order_acq_rel); }
-    } guard{active};
+  return h.run_round(kWorkers, kWatchdogNs, [&](sim::ExecContext& wctx) {
     util::Rng rng(wl_seed * 2654435761ull +
                   0x9e3779b9ull * static_cast<uint64_t>(wctx.worker_id() + 1));
-    try {
-      for (int t = 0; t < txs; t++) {
-        uint64_t a, b;
-        if (disjoint) {
-          a = static_cast<uint64_t>(2 * wctx.worker_id());
-          b = a + 1;
-        } else {
-          a = rng.next_bounded(kAccounts);
-          b = (a + 1 + rng.next_bounded(kAccounts - 1)) % kAccounts;
-        }
-        h.rt.run(wctx, [&](ptm::Tx& tx) {
-          const uint64_t fa = tx.read(&root->bal[a]);
-          const uint64_t fb = tx.read(&root->bal[b]);
-          const uint64_t amt = fa > 5 ? 5 : fa;
-          tx.write(&root->bal[a], fa - amt);
-          tx.write(&root->bal[b], fb + amt);
-        });
+    for (int t = 0; t < txs; t++) {
+      uint64_t a, b;
+      if (disjoint) {
+        a = static_cast<uint64_t>(2 * wctx.worker_id());
+        b = a + 1;
+      } else {
+        a = rng.next_bounded(kAccounts);
+        b = (a + 1 + rng.next_bounded(kAccounts - 1)) % kAccounts;
       }
-    } catch (const nvm::FiberKill&) {
-      kills++;  // the victim just stops; survivors keep running
+      h.rt.run(wctx, [&](ptm::Tx& tx) {
+        const uint64_t fa = tx.read(&root->bal[a]);
+        const uint64_t fb = tx.read(&root->bal[b]);
+        const uint64_t amt = fa > 5 ? 5 : fa;
+        tx.write(&root->bal[a], fa - amt);
+        tx.write(&root->bal[b], fb + amt);
+      });
     }
-  });
-  if (kills_out != nullptr) *kills_out = kills;
-  return engine.elapsed_ns();
+  }, kills_out);
 }
 
 // Count the persistence events one clean round consumes, so kill sweeps
@@ -138,11 +123,8 @@ uint64_t dry_run_events(bool psan, bool epoch, int txs, uint64_t wl_seed,
 // context advanced past every possible lease expiry, then hold the heap
 // to the durable-linearizability contract (crashfuzz's online oracle).
 void sweep_and_verify_online(fault::CrashHarness& h, uint64_t sim_end) {
-  ptm::ContainmentManager* cm = h.rt.containment();
-  ASSERT_NE(cm, nullptr);
-  sim::RealContext vctx(kWorkers, h.pool.config().max_workers);
-  vctx.advance(sim_end + 2 * kTimeoutNs + 1);
-  cm->sweep(vctx, nullptr);
+  ASSERT_NE(h.rt.containment(), nullptr);
+  h.sweep_after_round(kWorkers, sim_end + 2 * kTimeoutNs + 1);
   const auto res = h.verify();
   EXPECT_TRUE(res.ok) << "online containment oracle: " << res.detail;
 }
@@ -211,7 +193,7 @@ TEST(Containment, SurvivorsProgressAfterMidRunKill) {
         << " misordered_persist=" << summ.misordered_persist;
 
     // The online verdict must also survive an actual power failure.
-    h.rt.containment()->revive_all();
+    h.rt.containment()->reset();
     h.power_fail_and_recover(ctx, 17);
     test::expect_clean_recovery(h.report);
     const auto res = h.verify();
@@ -260,7 +242,7 @@ TEST(Containment, KillAtEveryEventSweep) {
         kills_seen++;
         sweep_and_verify_online(h, sim_end);
         reclaims_seen += h.rt.containment()->snapshot().stuck_tx_reclaimed;
-        h.rt.containment()->revive_all();
+        h.rt.containment()->reset();
       }
       h.power_fail_and_recover(ctx, ev);
       test::expect_clean_recovery(h.report);
@@ -427,7 +409,7 @@ TEST(Containment, EpochLeaderTakeover) {
           << ptm::algo_suffix(algo) << " kill at event " << ev << "/" << total
           << ": missing_flush=" << summ.missing_flush
           << " misordered_persist=" << summ.misordered_persist;
-      h.rt.containment()->revive_all();
+      h.rt.containment()->reset();
       h.power_fail_and_recover(ctx, ev);
       test::expect_clean_recovery(h.report);
       const auto res = h.verify();
@@ -437,6 +419,217 @@ TEST(Containment, EpochLeaderTakeover) {
     EXPECT_GE(takeovers, 1u) << ptm::algo_suffix(algo)
                              << ": no kill event ever landed on a drain leader mid-epoch";
   }
+}
+
+// ----- sequential kill trials ---------------------------------------------
+//
+// One worker per RealContext, run in program order, each a few lease
+// lengths ahead of the previous one: worker w is killed at its k-th
+// persistence event and a later worker finds it stale at once. The pool
+// is the crash-test pool (four workers, 128 KiB meta) cut to 2 MiB, since
+// the sweeps build one per trial; it is recovered at start-up unless a
+// test says otherwise.
+
+constexpr uint64_t kMs = 1000 * 1000;
+
+nvm::SystemConfig trial_cfg(bool mirror) {
+  nvm::SystemConfig cfg = test::crash_cfg(nvm::Domain::kAdr);
+  cfg.pool_size = 2ull << 20;
+  cfg.tx_timeout_ns = kTimeoutNs;
+  cfg.log_mirror = mirror;
+  return cfg;
+}
+
+/// Run `fn` with a thread fault armed `k` persistence events ahead; true
+/// when the fault killed the worker. Leftover arms are cleared.
+template <typename Fn>
+bool killed_at(nvm::Pool& pool, uint64_t k, Fn&& fn) {
+  pool.mem().arm_thread_fault(k);
+  bool killed = false;
+  try {
+    fn();
+  } catch (const nvm::FiberKill&) {
+    killed = true;
+  }
+  pool.mem().clear_thread_faults();
+  return killed;
+}
+
+// A reclaimer killed mid-pass is replaced by another, which must give
+// the victim the fate the first one decided. Worker 0 commits x = 5;
+// worker 1 writes x = 7 and is killed at its k1-th event; worker 2 reads x
+// 1 ms later, reclaims worker 1 and is killed at its own k2-th event;
+// worker 3 reads x 100 ms later and takes the reclamation over. Wherever
+// the victim's value reached x, the victim counts as committed, so its
+// orec must carry a fresh version: restoring the pre-lock word would let a
+// reader that saw x = 5 still validate. Each trial starts with recover()
+// on one pool per configuration (a fresh runtime per trial is slow under
+// the thread sanitizer).
+TEST(Containment, TakeoverReclaimKeepsTheVerdict) {
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    for (bool mirror : {false, true}) {
+      nvm::Pool pool(trial_cfg(mirror));
+      ptm::Runtime rt(pool, algo);
+      auto* x = pool.root<uint64_t>();
+      uint64_t takeovers = 0;
+      for (uint64_t k1 = 1;; k1++) {
+        bool victim_killed = true;
+        for (uint64_t k2 = 1; victim_killed; k2++) {
+          sim::RealContext w0(0, 4), w1(1, 4), w2(2, 4), w3(3, 4);
+          rt.recover(w0);
+          rt.run(w0, [&](ptm::Tx& tx) { tx.write(x, uint64_t{5}); });
+          std::atomic<uint64_t>& orec = rt.orecs().for_addr(x);
+          const uint64_t pre_lock = orec.load();
+
+          victim_killed = killed_at(pool, k1, [&] {
+            rt.run(w1, [&](ptm::Tx& tx) { tx.write(x, uint64_t{7}); });
+          });
+          if (!victim_killed) break;  // k1 is past the victim's events
+          w2.advance(kMs);
+          const bool reclaimer_killed = killed_at(pool, k2, [&] {
+            rt.run(w2, [&](ptm::Tx& tx) { (void)tx.read(x); });
+          });
+          w3.advance(100 * kMs);
+          uint64_t seen = 0;
+          rt.run(w3, [&](ptm::Tx& tx) { seen = tx.read(x); });
+
+          const std::string at = std::string(ptm::algo_suffix(algo)) +
+                                 (mirror ? " mirror" : "") + " k1=" + std::to_string(k1) +
+                                 " k2=" + std::to_string(k2);
+          const uint64_t word = orec.load();
+          ASSERT_FALSE(ptm::OrecTable::is_locked(word)) << at;
+          ASSERT_TRUE(seen == 5 || seen == 7) << at << ": x = " << seen;
+          if (seen == 7) {
+            EXPECT_GT(ptm::OrecTable::version_of(word), ptm::OrecTable::version_of(pre_lock))
+                << at << ": committed victim's orec went back to its pre-lock word";
+          }
+          if (!reclaimer_killed) break;  // k2 is past the reclamation
+          takeovers++;
+        }
+        if (!victim_killed) break;
+      }
+      EXPECT_GE(takeovers, 1u) << ptm::algo_suffix(algo) << (mirror ? " mirror" : "");
+    }
+  }
+}
+
+struct SlotRoot {
+  uint64_t slot;
+};
+
+/// {p = alloc(64); root->slot = p} on worker 1.
+void publish_block(ptm::Runtime& rt, sim::ExecContext& ctx) {
+  auto* root = rt.pool().root<SlotRoot>();
+  rt.run(ctx, [&](ptm::Tx& tx) {
+    tx.write(&root->slot, reinterpret_cast<uint64_t>(tx.alloc(64)));
+  });
+}
+
+/// Pool offset of the block publish_block allocates on a fresh pool (the
+/// allocator is deterministic): a trial killed inside alloc() never sees
+/// the pointer.
+uint64_t published_block_off(ptm::Algo algo) {
+  nvm::Pool pool(trial_cfg(false));
+  ptm::Runtime rt(pool, algo);
+  sim::RealContext w1(1, 4);
+  publish_block(rt, w1);
+  return pool.root<SlotRoot>()->slot - reinterpret_cast<uint64_t>(pool.base());
+}
+
+/// The block at `off` is published in the root or on a free list, not
+/// both and not neither.
+void expect_block_accounted(ptm::Runtime& rt, uint64_t off, const std::string& at) {
+  void* p = rt.pool().at(off);
+  const bool published = rt.pool().root<SlotRoot>()->slot == reinterpret_cast<uint64_t>(p);
+  const bool freed = rt.allocator().in_free_list(p);
+  EXPECT_TRUE(published != freed) << at << ": published=" << published << " freed=" << freed;
+}
+
+// {p = alloc(64); root->slot = p} killed at each of its persistence
+// events, then reclaimed by a sweep 1 ms later: once the allocation is in
+// the alloc log, the block ends up published or back on a free list,
+// never neither. (A kill before the word is logged leaks the block, the
+// same bound as a power failure at that instant.)
+TEST(Containment, ReclaimCancelsEveryLoggedAllocation) {
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    const uint64_t off = published_block_off(algo);
+    uint64_t logged_kills = 0;
+    for (uint64_t k = 1;; k++) {
+      nvm::Pool pool(trial_cfg(false));
+      ptm::Runtime rt(pool, algo);
+      sim::RealContext w0(0, 4), w1(1, 4), w2(2, 4);
+      rt.recover(w0);
+      if (!killed_at(pool, k, [&] { publish_block(rt, w1); })) break;
+      // The word is stored before the count that covers it.
+      const bool logged =
+          ptm::SlotLayout::carve(pool.worker_meta(1), pool.worker_meta_bytes())
+              .header->alloc_count >= 1;
+      w2.advance(kMs);
+      rt.containment()->sweep(w2, &rt.counters(2));
+      if (!logged) continue;
+      logged_kills++;
+      expect_block_accounted(
+          rt, off, std::string(ptm::algo_suffix(algo)) + " kill at event " + std::to_string(k));
+    }
+    EXPECT_GE(logged_kills, 1u) << ptm::algo_suffix(algo);
+  }
+}
+
+// The same transaction as a pool's very first, with no start-up recovery,
+// crashed (power failure) at each persistence event: the fresh slot shows
+// IDLE epoch 0 while the transaction tags its words with epoch 1 (tag 0 is
+// reserved), so recovery must screen with the epoch the slot runs at.
+TEST(Containment, FirstTransactionOnNeverRecoveredPoolIsCancelled) {
+  for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
+    const uint64_t off = published_block_off(algo);
+    uint64_t logged_crashes = 0;
+    for (uint64_t k = 1;; k++) {
+      nvm::Pool pool(trial_cfg(false));
+      ptm::Runtime rt(pool, algo);
+      sim::RealContext w0(0, 4), w1(1, 4);
+      pool.mem().arm_crash_after(k, k);
+      bool crashed = false;
+      try {
+        publish_block(rt, w1);
+      } catch (const nvm::CrashPoint&) {
+        crashed = true;
+      }
+      if (!crashed) break;
+      util::Rng image(k);
+      pool.simulate_power_failure(image);
+      // Logged: the durable count covers a durable word naming the block.
+      const ptm::SlotLayout slot =
+          ptm::SlotLayout::carve(pool.worker_meta(1), pool.worker_meta_bytes());
+      const uint64_t word = slot.alloc_log[0];
+      const bool logged = slot.header->alloc_count >= 1 &&
+                          ptm::AllocLogOp::op_of(word) == ptm::AllocLogOp::kAlloc &&
+                          ptm::AllocLogOp::off_of(word) == off;
+      rt.recover(w0);
+      if (!logged) continue;
+      logged_crashes++;
+      expect_block_accounted(
+          rt, off, std::string(ptm::algo_suffix(algo)) + " crash at event " + std::to_string(k));
+    }
+    EXPECT_GE(logged_crashes, 1u) << ptm::algo_suffix(algo);
+  }
+}
+
+// A second kill that strikes the watchdog fiber mid-reclamation: the
+// watchdog's death must be recorded like a worker's, so the reclaim guard
+// it held can be stolen and the survivors finish rather than abort
+// against the victim's locks forever.
+TEST(Containment, WatchdogKilledMidReclaimDoesNotHang) {
+  fault::ScheduleSpec spec;
+  spec.algo = ptm::Algo::kOrecEager;
+  spec.domain = nvm::Domain::kAdr;
+  spec.workload = 0;  // bank
+  spec.wl_seed = 11;
+  spec.crash_seed = 5;
+  spec.kill = true;
+  spec.kill_events = 900;
+  spec.kill2_events = 1300;
+  std::string why;
+  EXPECT_TRUE(fault::run_schedule(spec, &why)) << why;
 }
 
 // ----- backoff cap (ptm::kBackoffMaxNs) -----------------------------------
