@@ -1,5 +1,6 @@
 #include "alloc/persistent_alloc.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -49,13 +50,9 @@ PersistentAllocator::PersistentAllocator(nvm::Pool& pool)
   heads_ = bump_ + 1;
   const size_t header_words = 1 + static_cast<size_t>(max_workers_) * kNumClasses;
   data_start_ = (header_words * 8 + 63) & ~size_t{63};
-  // A freshly formatted pool is zeroed; bump==0 means "not yet initialized".
-  if (*bump_ == 0) {
-    *bump_ = data_start_;
-    // The pool checkpoint after construction (Pool ctor / caller) persists
-    // this formatting.
-  }
-  bump_cache_.store(*bump_, std::memory_order_relaxed);
+  // A fresh pool's bump word reads 0: blocks start past the header, and the
+  // first reserve_bump makes a high-water mark at or past it durable.
+  bump_cache_.store(std::max<uint64_t>(*bump_, data_start_), std::memory_order_relaxed);
 }
 
 uint64_t PersistentAllocator::reserve_bump(sim::ExecContext& ctx, stats::TxCounters* c,

@@ -31,19 +31,6 @@ enum class WritebackAdversary : uint8_t {
   kDataFirst = 4,  // unfenced data lines persist, unfenced log lines drop
 };
 
-/// What Runtime::recover() does when a log record (or a slot header) is
-/// damaged beyond repair — i.e. both the primary and, when mirroring is on,
-/// the mirror copy are unreadable.
-enum class RecoveryPolicy : uint8_t {
-  /// Quarantine the affected heap blocks, mark the pool degraded, surface
-  /// the loss in a stats::DegradedReport, and keep the runtime usable with
-  /// the quarantined region excluded. Default: matches the pre-mirror
-  /// screen-and-drop behaviour, but the loss is now reported, never silent.
-  kSalvage = 0,
-  /// Throw ptm::MediaLossError from recover() instead of continuing.
-  kFailStop = 1,
-};
-
 /// psan, devstats, rsan and epoch_commit can also be forced on for every
 /// pool in the process through REPRO_PSAN, REPRO_DEVSTATS, REPRO_RSAN and
 /// REPRO_EPOCH: nvm::Pool resolves them into its own copy of the config
@@ -109,9 +96,6 @@ struct SystemConfig {
   /// `scrub_interval_ns`, validating CRCs and repairing poisoned lines
   /// from their mirrors (ptm::Scrubber).
   uint64_t scrub_interval_ns = 0;
-
-  /// Behaviour when recovery meets damage it cannot repair.
-  RecoveryPolicy recovery_policy = RecoveryPolicy::kSalvage;
 
   /// Group/epoch commit (ptm::EpochManager): committing workers publish
   /// their sealed-but-unmarked logs to a per-runtime queue and a leader-

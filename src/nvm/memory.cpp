@@ -32,8 +32,8 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
       dram_dir_(directory_on() ? cfg.dram_cache_bytes : 0, 1),
       wpq_(cfg.cost.wpq_capacity, cfg.max_workers) {
   if (cfg_.crash_sim) {
+    // Filled by Pool::Pool's checkpoint_all_persistent().
     image_.reset(new unsigned char[size_]);
-    std::memcpy(image_.get(), base_, size_);
     dirty_bitmap_.assign((num_lines_ + 63) / 64, 0);
     pending_.assign(static_cast<size_t>(cfg_.max_workers), {});
   }

@@ -1,11 +1,6 @@
 #include "nvm/pool.h"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 
 #include "util/env.h"
@@ -24,24 +19,6 @@ SystemConfig resolve_env(SystemConfig cfg) {
   return cfg;
 }
 
-// Zero [p, p + n) without writing its whole pages: MADV_DONTNEED makes a
-// page of private anonymous memory (what malloc hands out) read back
-// zero-filled, and it becomes resident only when first touched. Only the
-// partial pages at either end are written; if madvise fails, every byte is.
-void zero_on_demand(char* p, size_t n) {
-  const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-  const auto lo = reinterpret_cast<uintptr_t>(p);
-  const uintptr_t first = (lo + page - 1) & ~(page - 1);
-  const uintptr_t last = (lo + n) & ~(page - 1);
-  if (first >= last ||
-      madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED) != 0) {
-    std::memset(p, 0, n);
-    return;
-  }
-  std::memset(p, 0, first - lo);
-  std::memset(reinterpret_cast<char*>(last), 0, lo + n - last);
-}
-
 }  // namespace
 
 Pool::Pool(const SystemConfig& cfg) : cfg_(resolve_env(cfg)) {
@@ -57,11 +34,10 @@ Pool::Pool(const SystemConfig& cfg) : cfg_(resolve_env(cfg)) {
     throw std::invalid_argument("pool_size exceeds the 4 GB log-offset limit");
   }
 
-  // Orecs hash absolute pool addresses, so where the block lands shapes
-  // simulated results: it stays a posix_memalign block.
-  void* p = nullptr;
-  if (posix_memalign(&p, 4096, cfg_.pool_size) != 0) throw std::bad_alloc();
-  base_.reset(static_cast<char*>(p));
+  // A heap block, not a fresh mapping per pool: crash sweeps build a pool
+  // per trial, and a mapping faults in every page of each one (test_overflow,
+  // 4-core x86-64: minor faults 0.59M -> 16.0M, wall 17.8 s -> 56.9 s).
+  base_ = util::PageBlock(cfg_.pool_size);
   // A run pays host memory only for the pool pages it touches. Crash-sim
   // pools are the exception: the persisted image copies the whole pool now
   // and back at every power failure, so every page becomes resident anyway,
@@ -70,7 +46,7 @@ Pool::Pool(const SystemConfig& cfg) : cfg_(resolve_env(cfg)) {
   if (cfg_.crash_sim) {
     std::memset(base(), 0, cfg_.pool_size);
   } else {
-    zero_on_demand(base(), cfg_.pool_size);
+    base_.zero_on_demand();
   }
 
   PoolHeader* h = header();

@@ -21,10 +21,10 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 #include "nvm/memory.h"
+#include "util/page_block.h"
 
 namespace nvm {
 
@@ -48,7 +48,7 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  char* base() const { return base_.get(); }
+  char* base() const { return base_.data(); }
   size_t size() const { return cfg_.pool_size; }
 
   /// Application root area, cast to the application's root type. The root
@@ -92,14 +92,10 @@ class Pool {
   void simulate_power_failure(util::Rng& rng) { mem_->simulate_power_failure(rng); }
 
  private:
-  struct FreeBlock {
-    void operator()(char* p) const { std::free(p); }
-  };
-
   SystemConfig cfg_;
   // Declared before mem_, which points into the block: the block outlives
   // the memory model, and is freed if Memory's constructor throws.
-  std::unique_ptr<char, FreeBlock> base_;
+  util::PageBlock base_;
   std::unique_ptr<Memory> mem_;
 };
 

@@ -30,11 +30,10 @@
 // replica, rewrites the primary in place (restore_from_replica, durably;
 // then clears the media fault — crash-idempotent), and counts it in
 // records_repaired. Damage with no usable copy left is
-// records_lost; under RecoveryPolicy::kSalvage the affected heap lines
-// are quarantined in the allocator and the loss surfaced through
-// Runtime::degraded(), under kFailStop recover() throws MediaLossError
-// after the salvage pass completes. Everything recovery applied,
-// repaired, or refused is tallied in the returned stats::RecoveryReport.
+// records_lost: the affected heap lines are quarantined in the allocator
+// and the loss is surfaced through Runtime::degraded(). Everything
+// recovery applied, repaired, or refused is tallied in the returned
+// stats::RecoveryReport.
 #include <algorithm>
 #include <vector>
 
@@ -78,13 +77,6 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
   degraded_.degraded = degraded_.lost_records > 0 || degraded_.lost_txs > 0;
   degraded_.quarantined_bytes = alloc_.quarantined_bytes();
   degraded_.quarantined_blocks = alloc_.quarantined_blocks();
-  if (rep.records_lost > 0 &&
-      pool_.config().recovery_policy == nvm::RecoveryPolicy::kFailStop) {
-    // Fail loud, but only after the full salvage pass: the pool is left in
-    // the same repaired/quarantined state kSalvage would leave, so the
-    // caller can still read Runtime::degraded() for the post-mortem.
-    throw MediaLossError("recovery: committed state lost with no usable copy");
-  }
   return rep;
 }
 

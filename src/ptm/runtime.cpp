@@ -5,7 +5,7 @@
 namespace ptm {
 
 Runtime::Runtime(nvm::Pool& pool, Algo algo)
-    : pool_(pool), algo_(algo), alloc_(pool),
+    : pool_(pool), algo_(algo), orecs_(pool.base()), alloc_(pool),
       counters_(static_cast<size_t>(pool.config().max_workers)) {
   // Containment first: the Tx descriptors below capture the pointer, so it
   // must exist (or be definitively absent — the tx_timeout_ns == 0 purity

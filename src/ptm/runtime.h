@@ -44,16 +44,6 @@ class TxObserver {
   virtual void on_abort(int worker) { (void)worker; }
 };
 
-/// Thrown by Runtime::recover() under RecoveryPolicy::kFailStop when
-/// committed data could not be reconstructed from any copy. The pool is
-/// left exactly as the salvage pass would have left it (repairs applied,
-/// damaged blocks quarantined) so a caller that catches this can still
-/// inspect Runtime::degraded() — but the contract is fail-loud: no
-/// application code should run on a pool that lost committed state.
-struct MediaLossError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 class Runtime {
  public:
   Runtime(nvm::Pool& pool, Algo algo);
@@ -127,10 +117,10 @@ class Runtime {
   /// report.records_discarded() == 0.
   stats::RecoveryReport recover(sim::ExecContext& ctx);
 
-  /// Degraded-mode outcome of the most recent recover() call. All-zero
-  /// (degraded == false) after every healthy recovery; populated under
-  /// RecoveryPolicy::kSalvage when both copies of committed state were
-  /// damaged and the pool kept going with losses quarantined.
+  /// Degraded-mode outcome of the most recent recover() call: all-zero after
+  /// every healthy recovery, populated when both copies of committed state
+  /// were damaged and the pool kept going with losses quarantined. A caller
+  /// that must fail stop checks degraded().degraded after recover().
   const stats::DegradedReport& degraded() const { return degraded_; }
 
   /// Install (or clear, with nullptr) the shadow-instrumentation hook.

@@ -120,10 +120,9 @@ struct RecoveryReport {
   }
 };
 
-/// Surfaced by Runtime::recover() under RecoveryPolicy::kSalvage when
-/// damage was beyond repair: what was lost and what got quarantined so
-/// the runtime could keep going. All-zero (degraded == false) on every
-/// healthy recovery.
+/// Surfaced by Runtime::recover() when damage was beyond repair: what was
+/// lost and what got quarantined so the runtime could keep going. All-zero
+/// (degraded == false) on every healthy recovery.
 struct DegradedReport {
   bool degraded = false;          // any unrepairable damage seen
   uint64_t lost_records = 0;      // log records with no usable copy

@@ -5,7 +5,9 @@
 // Makalu-style trade-off); corruption is not.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "ptm/runtime.h"
 #include "test_common.h"
@@ -69,6 +71,21 @@ TEST_P(AllocCrashTest, NoDoubleAllocationAfterRecovery) {
       }
     });
   }
+}
+
+TEST_P(AllocCrashTest, BuildingARuntimeLeavesThePersistedPoolAlone) {
+  // Every store a runtime makes into the pool goes through the memory
+  // model, formatting included: a power failure right after construction,
+  // before any transaction, must give back the very pool it left.
+  nvm::Pool pool(test::crash_cfg());
+  ptm::Runtime rt(pool, GetParam());
+  const std::vector<char> live(pool.base(), pool.base() + pool.size());
+  util::Rng rng(1);
+  pool.simulate_power_failure(rng);
+  const auto first_diff = std::mismatch(live.begin(), live.end(), pool.base()).first;
+  EXPECT_EQ(static_cast<size_t>(first_diff - live.begin()), pool.size())
+      << "first byte a power failure changed (heap starts at "
+      << pool.header()->heap_off << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, AllocCrashTest,

@@ -1,12 +1,11 @@
 // Repair-and-survive durability: mirrored log metadata, the background
-// scrubber, and degraded-mode recovery (SystemConfig::log_mirror,
-// scrub_interval_ns, recovery_policy).
+// scrubber, and degraded-mode recovery (SystemConfig::log_mirror and
+// scrub_interval_ns).
 //
 // The randomized side of this surface is crashfuzz --mirror 1; these tests
 // pin the deterministic edges: single-copy faults healing from the
-// replica, double-copy faults surfacing as reported (never silent) loss
-// under both recovery policies, crashes landing mid-repair and mid-scrub,
-// and the abort-backoff clamp.
+// replica, double-copy faults surfacing as reported (never silent) loss,
+// crashes landing mid-repair and mid-scrub, and the abort-backoff clamp.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -134,11 +133,10 @@ TEST(MirrorRecovery, PoisonedRecordLineIsRepairedAndEveryRecordReplays) {
 }
 
 // ---------------------------------------------------------------------------
-// Double-copy damage: reported loss, quarantine, and the policy split.
+// Double-copy damage: reported loss and quarantine.
 
 TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
   auto cfg = mirror_cfg();
-  ASSERT_EQ(cfg.recovery_policy, nvm::RecoveryPolicy::kSalvage);  // the default
   nvm::Pool pool(cfg);
   ptm::Runtime rt(pool, ptm::Algo::kOrecLazy);
   sim::RealContext ctx(0, 4);
@@ -175,36 +173,6 @@ TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
   pool.mem().clear_media_faults();
   rt.run(ctx, [&](ptm::Tx& tx) { tx.write(&root->cells[1], uint64_t{7}); });
   EXPECT_EQ(root->cells[1], 7u);
-}
-
-TEST(MirrorRecovery, BothCopiesPoisonedFailStopThrowsAfterSalvage) {
-  auto cfg = mirror_cfg();
-  cfg.recovery_policy = nvm::RecoveryPolicy::kFailStop;
-  nvm::Pool pool(cfg);
-  ptm::Runtime rt(pool, ptm::Algo::kOrecLazy);
-  sim::RealContext ctx(0, 4);
-  auto* root = pool.root<Root>();
-  root->cells[0] = 111;
-
-  auto slot = ptm::SlotLayout::carve(pool.worker_meta(0), pool.worker_meta_bytes(),
-                                     /*mirror=*/true);
-  const uint64_t epoch = 5;
-  const uint64_t heap_off = pool.header()->heap_off;
-  slot.header->status = ptm::TxSlotHeader::make(epoch, ptm::TxSlotHeader::kCommitted);
-  slot.header->algo = static_cast<uint64_t>(ptm::Algo::kOrecLazy);
-  slot.header->log_count = 1;
-  slot.log[0].val = 999;
-  slot.log[0].off = ptm::LogEntry::seal(ptm::LogEntry::pack(epoch, heap_off), 999);
-  seal_and_replicate(slot, 1);
-
-  pool.mem().inject_media_fault(pool.mem().line_of(&slot.log[0]));
-  pool.mem().inject_media_fault(pool.mem().line_of(slot.log_copy(ptm::SlotLayout::kReplica)));
-
-  EXPECT_THROW(rt.recover(ctx), ptm::MediaLossError);
-  // Fail-stop still completes the salvage pass first, so the post-mortem
-  // report is available to the operator.
-  EXPECT_TRUE(rt.degraded().degraded);
-  EXPECT_EQ(rt.degraded().lost_records, 1u);
 }
 
 // ---------------------------------------------------------------------------

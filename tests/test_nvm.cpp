@@ -180,6 +180,20 @@ TEST(Pool, HostMemoryScalesWithTouchedPages) {
   EXPECT_LT(resident_bytes() - before, int64_t{32} << 20);
 }
 
+TEST(Pool, RuntimeAndRecoverTouchLessThanTheOrecTable) {
+  // The orec table is 8 MiB of lock words. Building a runtime and
+  // recovering it should make resident only the pages they touch, not
+  // clear every orec by hand, twice.
+  auto cfg = test::small_cfg(nvm::Domain::kEadr);
+  nvm::Pool pool(cfg);
+  sim::RealContext ctx(0, cfg.max_workers);
+  const int64_t before = resident_bytes();
+  ptm::Runtime rt(pool, ptm::Algo::kOrecLazy);
+  rt.recover(ctx);
+  EXPECT_LT(resident_bytes() - before,
+            static_cast<int64_t>(ptm::OrecTable::kNumOrecs * sizeof(uint64_t)));
+}
+
 TEST(Pool, FreshPoolReadsZero) {
   // Bump-allocated log records and status words rely on a fresh pool
   // reading as zero past its header, however it was zeroed: eagerly

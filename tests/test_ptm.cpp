@@ -3,6 +3,8 @@
 // configuration the paper evaluates.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ptm/runtime.h"
 #include "test_common.h"
 
@@ -266,6 +268,45 @@ TEST_P(PtmTest, ValidationFailureIsAttributed) {
   const auto& c = fx_.rt.counters(0);
   EXPECT_EQ(c.aborts_of(stats::AbortCause::kValidation), 1u);
   EXPECT_EQ(c.aborts, 1u);
+}
+
+TEST(OrecTable, HeapOffsetsShareOrecsAlikeInEveryPool) {
+  // Which words share an orec must not depend on where a pool lands, or
+  // every abort count would move with the address-space layout.
+  test::Fixture a(test::small_cfg());
+  test::Fixture b(test::small_cfg());
+  auto index = [](test::Fixture& fx, uint64_t off) {
+    return &fx.rt.orecs().for_addr(fx.pool.heap_base() + off) - &fx.rt.orecs().at(0);
+  };
+  size_t differ = 0;
+  constexpr uint64_t kSpan = 1u << 20;
+  for (uint64_t off = 0; off < kSpan; off += 8) {
+    if (index(a, off) != index(b, off)) differ++;
+  }
+  EXPECT_EQ(differ, 0u) << "of " << kSpan / 8 << " word offsets in the first MiB of heap";
+}
+
+TEST(OrecTable, RecoverUnlocksEveryOrecAndRestartsTheClock) {
+  test::Fixture fx(test::small_cfg());
+  ptm::OrecTable& orecs = fx.rt.orecs();
+  // Lock every other touched orec and advance the rest, first and last
+  // included.
+  std::vector<size_t> touched;
+  for (size_t i = 0; i < ptm::OrecTable::kNumOrecs; i += 4099) touched.push_back(i);
+  touched.push_back(ptm::OrecTable::kNumOrecs - 1);
+  for (size_t k = 0; k < touched.size(); k++) {
+    orecs.at(touched[k]).store(k % 2 == 0 ? ptm::OrecTable::lock_word(3)
+                                          : ptm::OrecTable::version_word(orecs.tick()));
+  }
+  ASSERT_GT(orecs.sample_clock(), 1u);
+
+  fx.rt.recover(fx.ctx);
+  EXPECT_EQ(orecs.sample_clock(), 1u);
+  size_t stale = 0;
+  for (size_t i = 0; i < ptm::OrecTable::kNumOrecs; i++) {
+    stale += orecs.at(i).load(std::memory_order_relaxed) != ptm::OrecTable::version_word(0);
+  }
+  EXPECT_EQ(stale, 0u) << "orecs not back at version 0 after recover()";
 }
 
 INSTANTIATE_TEST_SUITE_P(
