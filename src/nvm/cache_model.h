@@ -19,55 +19,63 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+
+#include "util/page_block.h"
 
 namespace nvm {
 
 class CacheModel {
  public:
   static constexpr uint64_t kNoLine = ~0ull;
+  static constexpr int kMaxWays = 16;
 
   struct AccessResult {
     bool hit;
     uint64_t evicted_dirty_line;  // kNoLine if none
   };
 
-  /// `bytes` total capacity, `ways` associativity; line size is 64 B.
+  /// `bytes` total capacity, `ways` associativity (1..kMaxWays); line size
+  /// is 64 B.
   CacheModel(uint64_t bytes, int ways);
 
   /// Look up + install `line` (an address >> 6). `is_write` marks dirty.
+  /// Throws std::out_of_range for a line at or past line_limit().
   AccessResult access(uint64_t line, bool is_write);
 
   /// Remove `line` (clwb/clflush semantics: line is written back and, for
   /// modelling purposes, dropped from the dirty state). Returns true if the
-  /// line was present and dirty.
+  /// line was present and dirty. Throws like access().
   bool clean(uint64_t line);
 
   void reset();
 
+  /// Start the host cache miss on the set `line` maps to, ahead of an
+  /// access. Changes nothing; a line past line_limit() is ignored.
+  void prefetch(uint64_t line) const;
+
   uint64_t num_sets() const { return num_sets_; }
 
- private:
-  // The LRU tick and the dirty bit share one word, so a way is 16 bytes: a
-  // 512 MiB directory holds 8M ways in 128 MiB. The 63-bit tick never
-  // wraps, so LRU order does not depend on run length.
-  struct Way {
-    uint64_t tag = kNoLine;
-    uint64_t stamp = 0;  // (lru tick << 1) | dirty
+  /// One past the largest line id the model holds: its tag (line / sets + 1)
+  /// must fit in 32 bits, and line * sets stay below 2^63 so that the
+  /// reciprocal division is exact.
+  uint64_t line_limit() const { return line_limit_; }
 
-    uint64_t lru() const { return stamp >> 1; }
-    bool dirty() const { return (stamp & 1) != 0; }
-  };
-  static_assert(sizeof(Way) == 16, "a way must stay 16 bytes (directory RSS)");
+ private:
+  // A set is `ways` packed 32-bit tags (line / sets + 1; 0 means empty)
+  // followed by one byte per way: the recency rank (0 empty, 1 most recent)
+  // and the dirty bit. So a way is 5 bytes: a 384 MiB directory holds 6M
+  // ways in 30 MiB. The ranks of a set's n resident lines are always
+  // 1..n, so LRU order does not depend on run length. The bytes start
+  // zeroed on demand, which is the empty state.
+  struct Set;
 
   int ways_;
   uint64_t num_sets_;
-  uint64_t tick_ = 0;
-  std::vector<Way> ways_store_;  // num_sets_ * ways_, row-major by set
+  uint64_t recip_;  // ceil(2^63 / num_sets_)
+  uint64_t line_limit_;
+  util::PageBlock store_;
 
-  Way* set_of(uint64_t line) {
-    return &ways_store_[(line % num_sets_) * static_cast<uint64_t>(ways_)];
-  }
+  Set locate(uint64_t line) const;
 };
 
 }  // namespace nvm

@@ -10,8 +10,9 @@
 // writers for Optane and ~17 readers, per the calibrated service times.
 //
 // Channels are only consulted under the discrete-event engine, where a
-// single worker runs at a time, so plain (non-atomic) state is safe; a
-// debug assertion guards misuse from real threads.
+// single worker runs at a time, so plain (non-atomic) state is safe. Real
+// threads never reach them: `nvm::Memory` skips the timing model for a
+// context that is not simulated.
 #pragma once
 
 #include <cstdint>

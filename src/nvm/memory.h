@@ -326,6 +326,14 @@ class Memory {
 
   const SystemConfig& config() const { return cfg_; }
 
+  /// Start the host cache misses an access to `addr` will take: its bytes
+  /// and, under PDRAM on Optane, its directory set. Changes no simulated
+  /// state.
+  void prefetch(const void* addr) const {
+    __builtin_prefetch(addr);
+    if (directory_on()) dram_dir_.prefetch(line_of(addr));
+  }
+
   /// Reset volatile timing model state (channels, caches) between runs.
   void reset_models();
 

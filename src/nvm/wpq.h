@@ -26,7 +26,7 @@ namespace nvm {
 class Wpq {
  public:
   Wpq(int capacity, int max_workers)
-      : capacity_(capacity), ring_(static_cast<size_t>(capacity), 0),
+      : ring_(static_cast<size_t>(capacity), 0),
         per_worker_last_done_(static_cast<size_t>(max_workers), 0) {}
 
   /// Enqueue one line at simulated time `now`. Returns the time the caller
@@ -34,7 +34,7 @@ class Wpq {
   /// caller advances to it, then calls `commit_enqueue`.
   uint64_t stall_until_ns(uint64_t now) const {
     // Occupancy = entries whose completion is still in the future. The ring
-    // holds the last `capacity_` completions; if the oldest of those is
+    // holds the last `capacity` completions; if the oldest of those is
     // still pending, the queue is full.
     const uint64_t oldest = ring_[head_];
     return oldest > now ? oldest : now;
@@ -49,7 +49,8 @@ class Wpq {
     const uint64_t floor = now + static_cast<uint64_t>(lat_ns);
     if (done < floor) done = floor;
     ring_[head_] = done;
-    head_ = (head_ + 1) % static_cast<size_t>(capacity_);
+    head_++;
+    if (head_ == ring_.size()) head_ = 0;
     auto& last = per_worker_last_done_[static_cast<size_t>(worker)];
     if (done > last) last = done;
     return done;
@@ -78,7 +79,6 @@ class Wpq {
   }
 
  private:
-  int capacity_;
   std::vector<uint64_t> ring_;  // completion times, oldest at head_
   size_t head_ = 0;
   std::vector<uint64_t> per_worker_last_done_;

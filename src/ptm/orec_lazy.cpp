@@ -61,7 +61,11 @@ void Tx::lazy_commit() {
   }
 
   // 1. Acquire the write set's orecs (abort-on-conflict, no waiting;
-  // handle_abort restores the orecs acquired so far).
+  // handle_abort restores the orecs acquired so far). Their host misses,
+  // and the write-back's on the home words, start together first.
+  for (size_t i = 0; i < n_log_; i++) {
+    prefetch_word(pool.at(LogEntry::offset_of(slot_.entry_at(i)->off)));
+  }
   for (size_t i = 0; i < n_log_; i++) {
     auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(slot_.entry_at(i)->off)));
     acquire_orec(rt_->orecs().for_addr(home));

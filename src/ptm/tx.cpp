@@ -59,6 +59,7 @@ void Tx::begin() {
 }
 
 uint64_t Tx::read_word(const uint64_t* waddr) {
+  prefetch_word(waddr);
   c_->reads++;
   if (cm_) cm_->beat(worker_, ctx_->now_ns());
   stats::PhaseTimer pt(*ctx_, &c_->phases, stats::Phase::kRead);
@@ -67,6 +68,7 @@ uint64_t Tx::read_word(const uint64_t* waddr) {
 
 void Tx::write_word(uint64_t* waddr, uint64_t val) {
   assert(rt_->pool().contains(waddr) && "transactional write outside the pool");
+  prefetch_word(waddr);
   c_->writes++;
   if (cm_) cm_->beat(worker_, ctx_->now_ns());
   stats::PhaseTimer pt(*ctx_, &c_->phases, stats::Phase::kWrite);
@@ -86,6 +88,7 @@ void Tx::read_bytes(const void* src, void* dst, size_t len) {
   const uintptr_t s = reinterpret_cast<uintptr_t>(src);
   auto* out = static_cast<char*>(dst);
   uintptr_t w = s & ~uintptr_t{7};
+  prefetch_words(w, s + len);
   size_t produced = 0;
   while (produced < len) {
     const uint64_t word = read_word(reinterpret_cast<const uint64_t*>(w));
@@ -101,6 +104,7 @@ void Tx::write_bytes(void* dst, const void* src, size_t len) {
   const uintptr_t d = reinterpret_cast<uintptr_t>(dst);
   const auto* in = static_cast<const char*>(src);
   uintptr_t w = d & ~uintptr_t{7};
+  prefetch_words(w, d + len);
   size_t consumed = 0;
   while (consumed < len) {
     const size_t lo = (consumed == 0) ? (d - w) : 0;
@@ -430,6 +434,17 @@ uint64_t Tx::validated_read(std::atomic<uint64_t>& orec, uint64_t v1, const uint
   if (rsan_) rsan_->on_validated_read(worker_, &orec);
   read_set_.emplace_back(&orec, v1);
   return val;
+}
+
+void Tx::prefetch_word(const void* waddr) {
+  __builtin_prefetch(&rt_->orecs().for_addr(waddr));
+  rt_->pool().mem().prefetch(waddr);
+}
+
+void Tx::prefetch_words(uintptr_t first_word, uintptr_t end) {
+  for (uintptr_t w = first_word; w < end; w += 8) {
+    prefetch_word(reinterpret_cast<const void*>(w));
+  }
 }
 
 void Tx::acquire_orec(std::atomic<uint64_t>& orec) {

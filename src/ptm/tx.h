@@ -234,6 +234,13 @@ class Tx {
   /// Lock `orec` for this transaction (no-op when already ours); aborts
   /// on a conflict or a version newer than the start time.
   void acquire_orec(std::atomic<uint64_t>& orec);
+  /// Start the host cache misses an access to a word will take (its orec,
+  /// its line, its directory set), so that they overlap each other and the
+  /// work before their first use. Changes no simulated state.
+  void prefetch_word(const void* waddr);
+  /// prefetch_word for every word from `first_word` up to `end`, so that a
+  /// multi-word access waits for its misses together, not one by one.
+  void prefetch_words(uintptr_t first_word, uintptr_t end);
   void append_log(uint64_t off, uint64_t val);
   void append_alloc_word(uint64_t word);
   void persist_log_range(sim::ExecContext& ctx, stats::TxCounters* c,

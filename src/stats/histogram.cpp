@@ -1,22 +1,6 @@
 #include "stats/histogram.h"
 
-#include <atomic>
-
 namespace stats {
-
-namespace {
-
-// Constant-initialized, so callers may switch it during static
-// initialization (bench_common.h does, for REPRO_JSON).
-constinit std::atomic<bool> g_telemetry{false};
-
-}  // namespace
-
-bool telemetry_enabled() { return g_telemetry.load(std::memory_order_relaxed); }
-
-void set_telemetry_enabled(bool on) {
-  g_telemetry.store(on, std::memory_order_relaxed);
-}
 
 uint64_t Histogram::percentile(double p) const {
   if (count_ == 0) return 0;

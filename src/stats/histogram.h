@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -23,9 +24,17 @@
 
 namespace stats {
 
+namespace detail {
+// Constant-initialized, so callers may switch it during static
+// initialization (bench_common.h does, for REPRO_JSON).
+inline constinit std::atomic<bool> g_telemetry{false};
+}  // namespace detail
+
 /// Global telemetry switch (relaxed atomic, off until set).
-bool telemetry_enabled();
-void set_telemetry_enabled(bool on);
+inline bool telemetry_enabled() { return detail::g_telemetry.load(std::memory_order_relaxed); }
+inline void set_telemetry_enabled(bool on) {
+  detail::g_telemetry.store(on, std::memory_order_relaxed);
+}
 
 /// Power-of-two-bucket histogram: value v lands in bucket bit_width(v),
 /// i.e. bucket 0 holds exactly 0, bucket k holds [2^(k-1), 2^k). 65

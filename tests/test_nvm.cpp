@@ -4,8 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nvm/cache_model.h"
 #include "nvm/channel.h"
@@ -13,6 +17,7 @@
 #include "nvm/wpq.h"
 #include "sim/engine.h"
 #include "test_common.h"
+#include "util/rng.h"
 
 // ---------------------------------------------------------------- channel
 
@@ -117,6 +122,181 @@ TEST(DramCache, DirectMappedConflict) {
   EXPECT_EQ(r.evicted_dirty_line, 3u);
 }
 
+namespace {
+
+// The tag model before ways were packed (16-byte ways, a 64-bit LRU tick,
+// scalar scans), kept verbatim as the oracle for the packed one.
+class RefCacheModel {
+ public:
+  static constexpr uint64_t kNoLine = ~0ull;
+
+  struct AccessResult {
+    bool hit;
+    uint64_t evicted_dirty_line;  // kNoLine if none
+  };
+
+  RefCacheModel(uint64_t bytes, int ways) : ways_(ways) {
+    assert(ways > 0);
+    num_sets_ = bytes / 64 / static_cast<uint64_t>(ways);
+    if (num_sets_ == 0) num_sets_ = 1;
+    ways_store_.assign(num_sets_ * static_cast<uint64_t>(ways_), Way{});
+  }
+
+  AccessResult access(uint64_t line, bool is_write) {
+    Way* set = set_of(line);
+    tick_++;
+    const uint64_t dirty = is_write ? 1 : 0;
+    // Hit?
+    for (int i = 0; i < ways_; i++) {
+      if (set[i].tag == line) {
+        set[i].stamp = (tick_ << 1) | (set[i].stamp & 1) | dirty;
+        return {true, kNoLine};
+      }
+    }
+    // Miss: install over the LRU way (or an invalid one).
+    int victim = 0;
+    for (int i = 1; i < ways_; i++) {
+      if (set[i].tag == kNoLine) {
+        victim = i;
+        break;
+      }
+      if (set[i].lru() < set[victim].lru()) victim = i;
+    }
+    uint64_t evicted = kNoLine;
+    if (set[victim].tag != kNoLine && set[victim].dirty()) evicted = set[victim].tag;
+    set[victim] = Way{line, (tick_ << 1) | dirty};
+    return {false, evicted};
+  }
+
+  bool clean(uint64_t line) {
+    Way* set = set_of(line);
+    for (int i = 0; i < ways_; i++) {
+      if (set[i].tag == line) {
+        const bool was_dirty = set[i].dirty();
+        set[i].stamp &= ~uint64_t{1};
+        return was_dirty;
+      }
+    }
+    return false;
+  }
+
+  void reset() {
+    ways_store_.assign(ways_store_.size(), Way{});
+    tick_ = 0;
+  }
+
+ private:
+  struct Way {
+    uint64_t tag = kNoLine;
+    uint64_t stamp = 0;  // (lru tick << 1) | dirty
+
+    uint64_t lru() const { return stamp >> 1; }
+    bool dirty() const { return (stamp & 1) != 0; }
+  };
+
+  int ways_;
+  uint64_t num_sets_;
+  uint64_t tick_ = 0;
+  std::vector<Way> ways_store_;  // num_sets_ * ways_, row-major by set
+
+  Way* set_of(uint64_t line) {
+    return &ways_store_[(line % num_sets_) * static_cast<uint64_t>(ways_)];
+  }
+};
+
+}  // namespace
+
+TEST(CacheModel, MatchesTheReferenceModel) {
+  struct Shape {
+    uint64_t sets;
+    int ways;
+  };
+  std::vector<Shape> shapes;
+  // 3 and 12 ways write their rank bytes back in every chunk size.
+  for (const uint64_t sets : {1ull, 3ull, 160ull, 2048ull}) {
+    for (const int ways : {1, 2, 3, 4, 8, 12, 16}) shapes.push_back({sets, ways});
+  }
+  // kv's directory (6 * 2^20 one-way sets), and two ways of that many sets;
+  // the reference spends 16 bytes a way, so wider shapes would need GBs.
+  shapes.push_back({6ull << 20, 1});
+  shapes.push_back({6ull << 20, 2});
+
+  constexpr int kOps = 1'000'000;
+  for (const auto& [sets, ways] : shapes) {
+    SCOPED_TRACE("sets " + std::to_string(sets) + " ways " + std::to_string(ways));
+    nvm::CacheModel model(sets * static_cast<uint64_t>(ways) * 64, ways);
+    RefCacheModel ref(sets * static_cast<uint64_t>(ways) * 64, ways);
+    ASSERT_EQ(model.num_sets(), sets);
+    util::Rng rng(sets * 17 + static_cast<uint64_t>(ways));
+
+    // Lines fall in a few sets (the first, the last and some between) with
+    // more tags per set than ways, spread up to the packed-tag limit, so
+    // sets fill, hit, evict and reach the 16-lane loads at the array's end.
+    const uint64_t top_tag = (model.line_limit() - sets) / sets;  // any set's largest
+    std::vector<uint64_t> set_pool = {0, sets - 1};
+    for (int i = 0; i < 6; i++) set_pool.push_back(rng.next_bounded(sets));
+    std::vector<uint64_t> tag_pool = {0, 1, top_tag, top_tag - 1};
+    while (tag_pool.size() < static_cast<size_t>(2 * ways + 3)) {
+      tag_pool.push_back(rng.range(0, top_tag));
+    }
+
+    uint64_t hits = 0, dirty_evictions = 0, dirty_cleans = 0;
+    for (int op = 1; op <= kOps; op++) {
+      if (op % (1 << 18) == 0) {
+        model.reset();
+        ref.reset();
+        continue;
+      }
+      const uint64_t line = tag_pool[rng.next_bounded(tag_pool.size())] * sets +
+                            set_pool[rng.next_bounded(set_pool.size())];
+      const uint64_t kind = rng.next_bounded(100);
+      if (kind < 85) {
+        const bool is_write = kind < 40;
+        const auto got = model.access(line, is_write);
+        const auto want = ref.access(line, is_write);
+        ASSERT_EQ(got.hit, want.hit) << "op " << op << " line " << line;
+        ASSERT_EQ(got.evicted_dirty_line, want.evicted_dirty_line)
+            << "op " << op << " line " << line;
+        hits += got.hit;
+        dirty_evictions += got.evicted_dirty_line != nvm::CacheModel::kNoLine;
+      } else {
+        const bool got = model.clean(line);
+        ASSERT_EQ(got, ref.clean(line)) << "op " << op << " line " << line;
+        dirty_cleans += got;
+      }
+    }
+    // The stream exercised every outcome.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(dirty_evictions, 0u);
+    EXPECT_GT(dirty_cleans, 0u);
+  }
+}
+
+TEST(CacheModel, UnrepresentableLineThrows) {
+  // One set: the tag is line + 1, which must fit in 32 bits.
+  nvm::CacheModel one(64, 1);
+  EXPECT_EQ(one.line_limit(), 0xFFFFFFFFull);
+  EXPECT_FALSE(one.access(0xFFFFFFFEull, true).hit);
+  EXPECT_TRUE(one.clean(0xFFFFFFFEull));
+  EXPECT_THROW(one.access(0xFFFFFFFFull, false), std::out_of_range);
+  EXPECT_THROW(one.clean(0xFFFFFFFFull), std::out_of_range);
+  EXPECT_THROW(one.access(nvm::CacheModel::kNoLine, false), std::out_of_range);
+
+  // kv's directory: the reciprocal's exact range binds before the tag's.
+  nvm::CacheModel dir(384ull << 20, 1);
+  ASSERT_EQ(dir.num_sets(), 6ull << 20);
+  EXPECT_EQ(dir.line_limit(), (uint64_t{1} << 63) / dir.num_sets());
+  const uint64_t last = dir.line_limit() - 1;
+  EXPECT_FALSE(dir.access(last, true).hit);
+  EXPECT_EQ(dir.access(last % dir.num_sets(), false).evicted_dirty_line, last);
+  EXPECT_THROW(dir.access(dir.line_limit(), false), std::out_of_range);
+
+  // Fig 8's 320 GB point reaches line ~3.1e7, far inside both limits.
+  EXPECT_GT(nvm::CacheModel(160ull << 10, 16).line_limit(), uint64_t{1} << 32);
+  EXPECT_THROW(nvm::CacheModel(1 << 20, 17), std::invalid_argument);
+  EXPECT_THROW(nvm::CacheModel(1 << 20, 0), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- pool
 
 TEST(Pool, LayoutIsSane) {
@@ -178,6 +358,18 @@ TEST(Pool, HostMemoryScalesWithTouchedPages) {
   const int64_t before = resident_bytes();
   nvm::Pool pool(cfg);
   EXPECT_LT(resident_bytes() - before, int64_t{32} << 20);
+}
+
+TEST(Pool, DirectoryCostsAtMostSixBytesPerSet) {
+  // kv's PDRAM-on-Optane directory: 384 MiB of DRAM cache is 6 * 2^20
+  // one-way sets. With every set filled it may hold at most 6 bytes each.
+  auto cfg = test::small_cfg(nvm::Domain::kPdram);
+  cfg.dram_cache_bytes = 384ull << 20;
+  const uint64_t sets = cfg.dram_cache_bytes / nvm::Memory::kLineBytes;
+  const int64_t before = resident_bytes();
+  nvm::Pool pool(cfg);
+  pool.mem().prewarm_directory(0, sets);  // one line per set
+  EXPECT_LE(resident_bytes() - before, static_cast<int64_t>(6 * sets));
 }
 
 TEST(Pool, RuntimeAndRecoverTouchLessThanTheOrecTable) {
