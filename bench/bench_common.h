@@ -11,8 +11,8 @@
 //   REPRO_MAX_THREADS cap the thread sweep (default 32)
 //   REPRO_CSV=1       emit CSV after each table
 //   REPRO_JSON=<file> write every bench point as a JSON artifact (implies
-//                     phase-latency telemetry; scripts/compare_results.py
-//                     diffs two artifacts)
+//                     phase-latency telemetry; `scripts/check_gates.py
+//                     compare` diffs two artifacts)
 //   REPRO_TRACE=<file> record Chrome trace_event spans (src/stats/trace.h)
 //   REPRO_DEVSTATS=1  emulated DIMM counters ("device" section; trace "ph":"C")
 #pragma once
@@ -54,7 +54,7 @@ class Output {
 
   /// Register one benchmark point for the JSON artifact. `bench` is the
   /// panel/table title, `label` the curve (a point is identified by
-  /// (bench, label, threads) — compare_results.py matches on that key).
+  /// (bench, label, threads) — `check_gates.py compare` matches on that key).
   void add_result(std::string bench, std::string label, const stats::RunResult& r) {
     if (json_path_.empty()) return;
     points_.push_back(Point{std::move(bench), std::move(label), r});

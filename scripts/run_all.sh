@@ -16,7 +16,7 @@ cmake --build build
 ctest --test-dir build --output-on-failure
 
 # Each binary also writes its machine-readable results to results/<name>.json
-# (docs/OBSERVABILITY.md); diff two runs with scripts/compare_results.py.
+# (docs/OBSERVABILITY.md); diff two runs with scripts/check_gates.py compare.
 mkdir -p results
 
 for b in build/bench/*; do

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Self-tests for the CI gate scripts (compare_results.py, hang_guard.py,
-check_gates.py), run in CI so the gates themselves are gated.
+"""Self-tests for the CI gate scripts (check_gates.py, including its
+compare command, and hang_guard.py), run in CI so the gates themselves are
+gated.
 
 The cases pin the failure modes that once let the gates pass vacuously:
 the abort check never firing from a zero baseline, the hang guard
@@ -286,7 +287,7 @@ class CompareResultsTest(TempDirTest):
     def test_aborts_from_zero_baseline_are_flagged(self):
         base = self.write("base.json", results_doc(aborts=0))
         cand = self.write("cand.json", results_doc(aborts=7))
-        r = run("compare_results.py", base, cand)
+        r = run("check_gates.py", "compare", base, cand)
         self.assertEqual(r.returncode, 0, r.stdout)  # warning, not failure
         self.assertIn("warn: aborts grew", r.stdout)
         self.assertIn("0 -> 7", r.stdout)
@@ -294,12 +295,23 @@ class CompareResultsTest(TempDirTest):
     def test_abort_growth_above_threshold_is_flagged(self):
         base = self.write("base.json", results_doc(aborts=10))
         cand = self.write("cand.json", results_doc(aborts=100))
-        r = run("compare_results.py", base, cand)
+        r = run("check_gates.py", "compare", base, cand)
         self.assertIn("warn: aborts grew", r.stdout)
+
+    def test_throughput_drop_beyond_threshold_fails(self):
+        base = self.write("base.json", results_doc(aborts=3))
+        slow = results_doc(aborts=3)
+        slow["results"][0]["throughput_tx_per_sec"] = 0.9e6
+        cand = self.write("cand.json", slow)
+        r = run("check_gates.py", "compare", base, cand)
+        self.assertEqual(r.returncode, 1, r.stdout)
+        self.assertIn("REGRESSION", r.stdout)
+        r = run("check_gates.py", "compare", base, cand, "--threshold", "20")
+        self.assertEqual(r.returncode, 0, r.stdout)
 
     def test_self_comparison_is_clean(self):
         base = self.write("base.json", results_doc(aborts=3))
-        r = run("compare_results.py", base, base)
+        r = run("check_gates.py", "compare", base, base)
         self.assertEqual(r.returncode, 0, r.stdout)
         self.assertNotIn("warn", r.stdout)
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "fault/harness.h"
-#include "ptm/containment.h"
 #include "ptm/redo_log.h"
 
 namespace fault {
@@ -131,7 +130,6 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
 
   const nvm::SystemConfig cfg = fuzz_cfg(spec);
   CrashHarness h(cfg, spec.algo);
-  sim::RealContext ctx(0, cfg.max_workers);
   util::Rng wl_rng(spec.wl_seed * 2654435761ull + 7);
 
   auto* bank = h.pool.root<BankRoot>();  // the two roots alias; only one is used
@@ -139,11 +137,11 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
 
   // Populate.
   if (spec.workload == 0) {
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) {
       for (int i = 0; i < kAccounts; i++) tx.write(&bank->bal[i], kInitBal);
     });
   } else {
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) {
       for (int i = 0; i < kSlots; i++) tx.write(&churn->slots[i], uint64_t{0});
     });
   }
@@ -173,18 +171,19 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
     });
   };
 
-  // Run until the armed crash (or to completion on a dry run). Kill
-  // schedules arm fiber faults on the same shared event counter.
-  if (spec.kill && spec.kill_events != 0) {
-    h.pool.mem().arm_thread_fault(spec.kill_events, spec.stall_ns);
+  // Run until the armed crash (or to completion). Kill schedules arm fiber
+  // faults on the same shared event counter; one that arms no power
+  // failure gets the harness's online containment verdict before the
+  // power failure that follows: every killed victim resolved
+  // all-or-nothing ON LINE (completed forward if its commit record sealed,
+  // rolled back otherwise) with its orecs free.
+  Faults faults{.power_at = spec.arm_events};
+  if (spec.kill) {
+    faults.thread_at = spec.kill_events;
+    faults.stall_ns = spec.stall_ns;
+    faults.thread2_at = spec.kill2_events;
   }
-  if (spec.kill && spec.kill2_events != 0) {
-    h.pool.mem().arm_thread_fault(spec.kill2_events);
-  }
-  const uint64_t arm = spec.arm_events != 0 ? spec.arm_events : ~0ull;
-  const uint64_t events_before = h.pool.mem().persistence_events();
-  uint64_t kill_sim_end = 0;
-  const bool crashed = h.run_until_crash(arm, spec.crash_seed, [&] {
+  Trial t = h.strike(faults, spec.crash_seed, [&] {
     if (spec.epoch || spec.kill) {
       // Concurrent mode: the same transaction budget, split across DES
       // workers — epoch schedules need full-size epochs to form; kill
@@ -196,51 +195,22 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
       // members kCrashed), so the harness still sees exactly one
       // CrashPoint for the whole group.
       const int txs = (spec.workload == 0 ? kBankTxs : kChurnTxs) / kEpochWorkers;
-      kill_sim_end = h.run_round(kEpochWorkers, kKillWatchdogNs, [&](sim::ExecContext& wctx) {
+      h.run_round(kEpochWorkers, kKillWatchdogNs, [&](sim::ExecContext& wctx) {
         util::Rng rng(spec.wl_seed * 2654435761ull + 7 +
                       0x9e3779b9ull * static_cast<uint64_t>(wctx.worker_id() + 1));
-        for (int t = 0; t < txs; t++) {
+        for (int i = 0; i < txs; i++) {
           if (spec.workload == 0) bank_tx(wctx, rng);
           else churn_tx(wctx, rng);
         }
       });
     } else if (spec.workload == 0) {
-      for (int t = 0; t < kBankTxs; t++) bank_tx(ctx, wl_rng);
+      for (int i = 0; i < kBankTxs; i++) bank_tx(h.ctx, wl_rng);
     } else {
-      for (int t = 0; t < kChurnTxs; t++) churn_tx(ctx, wl_rng);
+      for (int i = 0; i < kChurnTxs; i++) churn_tx(h.ctx, wl_rng);
     }
   });
-  if (events_out) {
-    *events_out = h.pool.mem().persistence_events() - events_before;
-  }
-  // Disarm leftover fiber faults before any verification/recovery code
-  // issues persistence events of its own.
-  if (spec.kill) h.pool.mem().clear_thread_faults();
-  if (spec.arm_events != 0 && !crashed) {
-    // Armed past the end of the run: nothing to check (sweep callers
-    // bound arm_events by the dry-run total, so this is not a failure).
-    return true;
-  }
-
-  if (spec.kill && !crashed) {
-    // Online containment verdict, before any power failure: let a sweep
-    // from a fresh context — advanced past every possible lease expiry —
-    // reclaim whatever the kills left behind, then hold the DRAM-visible
-    // heap to the durable-linearizability contract. Every killed victim
-    // must be resolved all-or-nothing ON LINE (completed forward if its
-    // commit record sealed, rolled back otherwise) with its orecs free;
-    // un-killed workers' transactions all committed normally.
-    if (ptm::ContainmentManager* cm = h.rt.containment()) {
-      h.sweep_after_round(kEpochWorkers, kill_sim_end + 2 * kKillTimeoutNs + 1);
-      const Oracle::Result ores = h.verify();
-      if (!ores.ok) {
-        return fail("online containment oracle: " + ores.detail);
-      }
-      // Lift the quarantine so the invariant checks (and the power-fail
-      // recovery below) can reuse the killed workers' descriptors.
-      cm->reset();
-    }
-  }
+  if (events_out) *events_out = t.events;
+  if (!t.ok()) return fail(t.failure);
 
   if (spec.media_fault) {
     uint64_t line;
@@ -248,8 +218,8 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
       // Mirrored pools must *survive* a single-copy fault: poison worker
       // 0's primary slot-header line (even crash seeds) or the first line
       // of its primary write log (odd seeds). The mirror holds the only
-      // remaining copy, so the strict checks below prove the fallback
-      // path actually carries the recovery.
+      // remaining copy, so the verdict proves the fallback path actually
+      // carries the recovery.
       ptm::SlotLayout slot = ptm::SlotLayout::carve(
           h.pool.worker_meta(0), h.pool.worker_meta_bytes(), /*mirror=*/true);
       const char* target = spec.crash_seed % 2 == 0
@@ -258,7 +228,7 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
       line = h.pool.mem().line_of(target);
     } else {
       // Unmirrored: poison one line inside worker 0's log region. Records
-      // on that line are legitimately lost, so the oracle verdict is not
+      // on that line are legitimately lost, so the verdict is not
       // required — the requirements are that recovery survives,
       // attributes the damage, and leaves a usable runtime.
       line = h.pool.header()->meta_off / nvm::Memory::kLineBytes + 1 +
@@ -267,71 +237,19 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
     h.pool.mem().inject_media_fault(line);
   }
 
-  h.power_fail_and_recover(ctx, spec.crash_seed + 1);
+  h.power_fail();
+  h.recover(t, Expect{.media = spec.media_fault});
   if (report_out) *report_out = h.report;
-
-  if (spec.media_fault && !spec.mirror) {
-    if (h.report.media_faults == 0) {
-      return fail("media fault injected but not reported by recovery");
-    }
-  } else {
-    const Oracle::Result res = h.verify();
-    if (!res.ok) {
-      // With psan on (REPRO_PSAN=1), classify the failure mode: lines the
-      // crashed run never even flushed point at a missing-flush algorithm
-      // bug; none means the schedule tore state the algorithm did order.
-      std::string msg = "oracle: " + res.detail;
-      if (h.pool.mem().psan() != nullptr) {
-        char note[96];
-        std::snprintf(note, sizeof(note),
-                      " (psan: %zu never-flushed line(s) at crash%s",
-                      h.crash_unflushed.size(),
-                      h.crash_unflushed.empty() ? " — torn by schedule)" : ")");
-        msg += note;
-        if (!h.crash_unflushed.empty()) {
-          char ln[32];
-          std::snprintf(ln, sizeof(ln), " first=line %" PRIu64,
-                        h.crash_unflushed.front());
-          msg += ln;
-        }
-      }
-      return fail(msg);
-    }
-    if (spec.media_fault) {
-      // Mirrored media trial: the oracle verdict above already proved no
-      // committed state went missing; recovery must additionally have
-      // seen the fault and must not have declared anything lost.
-      if (h.report.media_faults == 0) {
-        return fail("media fault injected but not reported by recovery");
-      }
-    } else {
-      // Cross-check the recovery report: with no media damage, a
-      // committed log may never fail its whole-log checksum, and no
-      // phantom fault may be reported.
-      if (h.report.log_crc_mismatches != 0) {
-        return fail("whole-log CRC mismatch on an undamaged log");
-      }
-      if (h.report.records_media_faulted != 0 || h.report.media_faults != 0) {
-        return fail("phantom media fault reported");
-      }
-    }
-    // No record that passed its CRC may carry an out-of-range offset, and
-    // nothing on these schedules is allowed to be lost: without media
-    // damage every record has at least its primary copy, and with the
-    // single-copy media trials the mirror must carry the recovery.
-    if (h.report.records_invalid != 0) {
-      return fail("CRC-valid record with out-of-bounds offset");
-    }
-    if (h.report.records_lost != 0) {
-      return fail("recovery reported lost records on a survivable schedule");
-    }
+  if (!t.ok() && !(spec.media_fault && !spec.mirror)) return fail(t.failure);
+  if (spec.media_fault && h.report.media_faults == 0) {
+    return fail("media fault injected but not reported by recovery");
   }
 
   // Workload invariants (read-only / allocator-metadata checks; run after
-  // verify() so they cannot perturb the oracle comparison).
+  // the verdict so they cannot perturb the oracle comparison).
   if (spec.workload == 0) {
     uint64_t total = 0;
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) {
       total = 0;
       for (int i = 0; i < kAccounts; i++) total += tx.read(&bank->bal[i]);
     });
@@ -389,9 +307,10 @@ int run_crashfuzz(const FuzzOptions& opt) {
     return true;
   };
 
-  // Phase 1: deterministic sweep. One dry run per configuration measures
-  // the schedule's persistence-event count E; then every event in
-  // [1, sweep] and every stride-th event after that becomes a crash
+  // Phase 1: deterministic sweep. One fault-free schedule per
+  // configuration, checked like any other, measures the workload's
+  // persistence-event count E (its trial's event count); then every event
+  // in [1, sweep] and every stride-th event after that becomes a crash
   // point — or, with --kill, a fiber-kill point (no power failure: the
   // survivors and the watchdog must resolve the victim ON LINE and the
   // heap must verify without any recovery pass). Identical wl_seed per
@@ -502,8 +421,8 @@ int run_crashfuzz(const FuzzOptions& opt) {
     const auto key = std::tuple<int, int, int>{static_cast<int>(s.algo),
                                                static_cast<int>(s.domain), s.workload};
     const auto it = totals.find(key);
-    // The dry-run total for wl_seed=11 is a good scale estimate for any
-    // seed; arming past the actual end just yields a crash-free pass.
+    // The fault-free total for wl_seed=11 is a good scale estimate for any
+    // seed; arming past the actual end just yields a crash-free trial.
     const uint64_t scale = it != totals.end() ? it->second : 2000;
     s.arm_events = 1 + rng.next_bounded(scale);
     if (opt.kill) {

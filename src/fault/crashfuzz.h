@@ -54,9 +54,10 @@ struct ScheduleSpec {
 /// The exact `crashfuzz --one ...` invocation that replays `spec`.
 std::string repro_command(const ScheduleSpec& spec);
 
-/// Run one schedule. Returns true on pass; on failure `why` (if non-null)
+/// Run one schedule through the harness's trial step and verdict
+/// (fault/harness.h). Returns true on pass; on failure `why` (if non-null)
 /// receives the counterexample. `events_out` (if non-null) receives the
-/// total persistence events the workload executed (for dry runs).
+/// persistence events the workload executed (the trial's event count).
 /// `report_out` (if non-null) receives the recovery report of the
 /// schedule's crash recovery (untouched on crash-free early exits).
 bool run_schedule(const ScheduleSpec& spec, std::string* why,

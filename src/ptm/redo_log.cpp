@@ -217,12 +217,14 @@ uint64_t retire_slot(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* 
   const bool wrap = (epoch & LogEntry::kTagMask) == 0;
   if (wrap) epoch++;
   const uint64_t word = TxSlotHeader::make(epoch, TxSlotHeader::kIdle);
-  // Replica first (program order), the whole retired image: the mirror is
-  // never behind the primary. A retire cut short (a reclaimer killed here)
-  // leaves an untouched primary, or a torn one beside a retired replica;
-  // never a torn primary beside the COMMITTED image of batch B, which the
-  // next pass would trust over a transaction already judged uncommitted.
+  // Replica first, the whole retired image, fenced before the primary is
+  // touched: the mirror is never behind the primary. A retire cut short,
+  // by a reclaimer's kill or by a power failure, leaves an untouched
+  // primary, or a torn one beside a durably retired replica; never a torn
+  // primary beside the COMMITTED image of batch B, which the next pass
+  // would trust over a transaction already judged uncommitted.
   seal_replica_header(pool, ctx, c, slot, word, /*no_records=*/true);
+  if (slot.mirrored()) mem.sfence(ctx, c);
   // All header fields share one cache line, so the counts and the IDLE
   // status persist together under the flush + fence below.
   mem.store_word(ctx, c, &slot.header->log_count, 0, nvm::Space::kLog);

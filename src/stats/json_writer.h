@@ -2,8 +2,8 @@
 //
 // No external JSON dependency is available in the container, and the
 // schemas we emit (RunResult artifacts, Chrome trace_event files) are
-// write-only from C++ — scripts/compare_results.py and trace viewers do
-// the parsing — so a small comma-tracking emitter is all that is needed.
+// write-only from C++ — scripts/check_gates.py and trace viewers do the
+// parsing — so a small comma-tracking emitter is all that is needed.
 // Output is compact (no whitespace) and deterministic, which keeps
 // artifacts diffable and lets tests assert exact strings.
 #pragma once

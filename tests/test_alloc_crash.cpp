@@ -23,21 +23,20 @@ class AllocCrashTest : public ::testing::TestWithParam<ptm::Algo> {};
 TEST_P(AllocCrashTest, NoDoubleAllocationAfterRecovery) {
   for (uint64_t trial = 0; trial < 15; trial++) {
     fault::CrashHarness h(test::crash_cfg(), GetParam());
-    sim::RealContext ctx(0, 4);
     auto* root = h.pool.root<Root>();
 
     util::Rng rng(9100 + trial);
     // Churn: allocate into random slots, freeing whatever was there. The
-    // oracle check is off — freed blocks get free-list links threaded
-    // through them outside the Tx write path — but the recovery report is
-    // still screened.
-    test::run_crash_trial(
-        h, ctx, 30 + rng.next_bounded(1500), trial * 13 + 1,
+    // oracle is off — freed blocks get free-list links threaded through
+    // them outside the Tx write path — but the recovery report is still
+    // judged.
+    const fault::Trial t = h.trial(
+        {.power_at = 30 + rng.next_bounded(1500)}, trial * 13 + 1,
         [&] {
-          for (int t = 0; t < 300; t++) {
+          for (int i = 0; i < 300; i++) {
             const uint64_t s = rng.next_bounded(64);
             const uint64_t sz = 16 + rng.next_bounded(100);
-            h.rt.run(ctx, [&](ptm::Tx& tx) {
+            h.rt.run(h.ctx, [&](ptm::Tx& tx) {
               const uint64_t old = tx.read(&root->slots[s]);
               if (old != 0) tx.dealloc(reinterpret_cast<void*>(old));
               auto* blk = static_cast<uint64_t*>(tx.alloc(sz));
@@ -46,7 +45,8 @@ TEST_P(AllocCrashTest, NoDoubleAllocationAfterRecovery) {
             });
           }
         },
-        /*check_oracle=*/false);
+        {.oracle = false});
+    EXPECT_TRUE(t.ok()) << "trial " << trial << ": " << t.failure;
     ptm::Runtime& rt = h.rt;
 
     // 1. No live slot may point at a block that sits on a free list.
@@ -62,7 +62,7 @@ TEST_P(AllocCrashTest, NoDoubleAllocationAfterRecovery) {
 
     // 2. Fresh allocations must never alias a live block.
     std::set<void*> fresh;
-    rt.run(ctx, [&](ptm::Tx& tx) {
+    rt.run(h.ctx, [&](ptm::Tx& tx) {
       for (int i = 0; i < 128; i++) {
         void* p = tx.alloc(64);
         EXPECT_TRUE(fresh.insert(p).second) << "allocator returned a block twice";

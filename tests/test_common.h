@@ -1,4 +1,6 @@
-// Shared helpers for the test suite.
+// Shared helpers for the test suite: pool configurations and a plain
+// pool + runtime fixture. Crash trials, their sweeps and the one
+// post-recovery verdict live in fault::CrashHarness (fault/harness.h).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -36,43 +38,6 @@ inline nvm::SystemConfig crash_cfg(nvm::Domain domain = nvm::Domain::kAdr) {
   cfg.max_workers = 4;
   cfg.per_worker_meta_bytes = 1ull << 17;
   return cfg;
-}
-
-/// Assert that recovery rejected nothing it shouldn't have. Torn records
-/// are ordinary (the in-flight tail of a crashed log); checksum failures
-/// on a *committed* log, out-of-bounds offsets, or unexpected media faults
-/// mean the product corrupted its own metadata.
-inline void expect_clean_recovery(const stats::RecoveryReport& rep) {
-  EXPECT_EQ(rep.log_crc_mismatches, 0u) << "committed log failed its CRC";
-  EXPECT_EQ(rep.records_invalid, 0u) << "log record with out-of-bounds offset";
-  EXPECT_EQ(rep.records_media_faulted, 0u) << "phantom media fault";
-}
-
-/// One crash trial: arm → run `body` until the crash fires (or it ends) →
-/// power-fail → recover → clean-report + durable-linearizability checks.
-/// Returns true iff the crash fired. Callers add workload-specific asserts
-/// (shadow-state comparisons, container membership, …) afterwards; any
-/// reads they do through h.rt.run happen after the oracle verdict, which
-/// is the required order (see fault::CrashHarness).
-///
-/// `check_oracle` must be false for workloads that dealloc transactional
-/// data: the allocator threads free-list links through freed blocks
-/// outside the Tx write path, so the byte-exact oracle would flag those
-/// words. The report checks still apply.
-template <typename Body>
-bool run_crash_trial(fault::CrashHarness& h, sim::ExecContext& ctx,
-                     uint64_t events, uint64_t crash_seed, Body&& body,
-                     bool check_oracle = true, uint64_t image_seed = 17) {
-  h.seal_initial_state();
-  const bool crashed =
-      h.run_until_crash(events, crash_seed, std::forward<Body>(body));
-  h.power_fail_and_recover(ctx, image_seed);
-  expect_clean_recovery(h.report);
-  if (check_oracle) {
-    const auto res = h.verify();
-    EXPECT_TRUE(res.ok) << res.detail;
-  }
-  return crashed;
 }
 
 struct Fixture {

@@ -41,9 +41,8 @@ void run_crash_trials(ptm::Algo algo, nvm::Domain domain, const DoOp& do_op,
                       const std::function<void(ptm::Tx&, Root*)>& create) {
   for (uint64_t trial = 0; trial < 8; trial++) {
     fault::CrashHarness h(test::crash_cfg(domain), algo);
-    sim::RealContext ctx(0, 4);
     auto* root = h.pool.root<Root>();
-    h.rt.run(ctx, [&](ptm::Tx& tx) { create(tx, root); });
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) { create(tx, root); });
 
     util::Rng rng(4400 + trial * 31);
     std::set<uint64_t> shadow;
@@ -51,16 +50,16 @@ void run_crash_trials(ptm::Algo algo, nvm::Domain domain, const DoOp& do_op,
     bool inflight_insert = false;
     // Oracle off: container removes dealloc their nodes, whose payload
     // words the allocator then rethreads outside the Tx write path. The
-    // recovery report is still screened for torn/invalid/media damage.
-    test::run_crash_trial(
-        h, ctx, 40 + rng.next_bounded(2500), trial + 1,
+    // recovery report is still judged.
+    const fault::Trial t = h.trial(
+        {.power_at = 40 + rng.next_bounded(2500)}, trial + 1,
         [&] {
-          for (int t = 0; t < 250; t++) {
+          for (int i = 0; i < 250; i++) {
             const uint64_t key = rng.next_bounded(128);
             const bool insert = rng.chance_pct(70);
             inflight_key = key;
             inflight_insert = insert;
-            h.rt.run(ctx, [&](ptm::Tx& tx) { do_op(tx, root, key, insert); });
+            h.rt.run(h.ctx, [&](ptm::Tx& tx) { do_op(tx, root, key, insert); });
             if (insert) {
               shadow.insert(key);
             } else {
@@ -68,13 +67,14 @@ void run_crash_trials(ptm::Algo algo, nvm::Domain domain, const DoOp& do_op,
             }
           }
         },
-        /*check_oracle=*/false, /*image_seed=*/5);
+        {.oracle = false});
+    EXPECT_TRUE(t.ok()) << "trial " << trial << ": " << t.failure;
 
     // Membership must match the shadow, except possibly the in-flight key
     // (included iff its commit record persisted first).
     for (uint64_t k = 0; k < 128; k++) {
       bool present = false;
-      h.rt.run(ctx, [&](ptm::Tx& tx) { present = contains(tx, root, k); });
+      h.rt.run(h.ctx, [&](ptm::Tx& tx) { present = contains(tx, root, k); });
       if (k == inflight_key) {
         const bool allowed_a = shadow.count(k) > 0;       // op not included
         const bool allowed_b = inflight_insert;           // op included

@@ -68,9 +68,9 @@ nvm::SystemConfig contain_cfg(bool psan = false, bool epoch = false) {
   return cfg;
 }
 
-void populate(fault::CrashHarness& h, sim::ExecContext& ctx) {
+void populate(fault::CrashHarness& h) {
   auto* root = h.pool.root<BankRoot>();
-  h.rt.run(ctx, [&](ptm::Tx& tx) {
+  h.rt.run(h.ctx, [&](ptm::Tx& tx) {
     for (int i = 0; i < kAccounts; i++) tx.write(&root->bal[i], kInitBal);
   });
 }
@@ -78,12 +78,10 @@ void populate(fault::CrashHarness& h, sim::ExecContext& ctx) {
 // One concurrent round (CrashHarness::run_round, the crashfuzz runner):
 // kWorkers fibers run `txs` transfers each — contended (randomized
 // endpoints) or disjoint (worker w owns accounts 2w/2w+1) — with the
-// watchdog fiber patrolling on the spare worker id. Returns the engine's
-// final simulated time.
-uint64_t contended_round(fault::CrashHarness& h, int txs, uint64_t wl_seed,
-                         bool disjoint, int* kills_out = nullptr) {
+// watchdog fiber patrolling on the spare worker id.
+void contended_round(fault::CrashHarness& h, int txs, uint64_t wl_seed, bool disjoint) {
   auto* root = h.pool.root<BankRoot>();
-  return h.run_round(kWorkers, kWatchdogNs, [&](sim::ExecContext& wctx) {
+  h.run_round(kWorkers, kWatchdogNs, [&](sim::ExecContext& wctx) {
     util::Rng rng(wl_seed * 2654435761ull +
                   0x9e3779b9ull * static_cast<uint64_t>(wctx.worker_id() + 1));
     for (int t = 0; t < txs; t++) {
@@ -103,30 +101,26 @@ uint64_t contended_round(fault::CrashHarness& h, int txs, uint64_t wl_seed,
         tx.write(&root->bal[b], fb + amt);
       });
     }
-  }, kills_out);
+  });
 }
 
-// Count the persistence events one clean round consumes, so kill sweeps
-// and kill-event searches stay inside the run.
-uint64_t dry_run_events(bool psan, bool epoch, int txs, uint64_t wl_seed,
-                        bool disjoint, ptm::Algo algo = ptm::Algo::kOrecLazy) {
-  fault::CrashHarness h(contain_cfg(psan, epoch), algo);
-  sim::RealContext ctx(0, h.pool.config().max_workers);
-  populate(h, ctx);
-  h.seal_initial_state();
-  const uint64_t before = h.pool.mem().persistence_events();
-  contended_round(h, txs, wl_seed, disjoint);
-  return h.pool.mem().persistence_events() - before;
+// One trial step over a populated pool with `faults` armed on the round.
+// A kill trial gets the harness's online containment verdict (a sweep past
+// every lease expiry, then the oracle) before the power failure and the
+// post-recovery verdict.
+fault::Trial round_trial(fault::CrashHarness& h, const fault::Faults& faults, uint64_t seed,
+                         int txs, uint64_t wl_seed, bool disjoint) {
+  populate(h);
+  return h.trial(faults, seed, [&] { contended_round(h, txs, wl_seed, disjoint); });
 }
 
-// Online containment verdict after a kill round: sweep from a fresh
-// context advanced past every possible lease expiry, then hold the heap
-// to the durable-linearizability contract (crashfuzz's online oracle).
-void sweep_and_verify_online(fault::CrashHarness& h, uint64_t sim_end) {
-  ASSERT_NE(h.rt.containment(), nullptr);
-  h.sweep_after_round(kWorkers, sim_end + 2 * kTimeoutNs + 1);
-  const auto res = h.verify();
-  EXPECT_TRUE(res.ok) << "online containment oracle: " << res.detail;
+// The persistence events of one fault-free round: the kill and stall
+// searches below place their fault at a fraction of it.
+uint64_t round_events(const nvm::SystemConfig& cfg, int txs, uint64_t wl_seed, bool disjoint) {
+  fault::CrashHarness h(cfg, ptm::Algo::kOrecLazy);
+  const fault::Trial t = round_trial(h, fault::Faults{}, 17, txs, wl_seed, disjoint);
+  EXPECT_TRUE(t.ok()) << t.failure;
+  return t.events;
 }
 
 // ----- purity ------------------------------------------------------------
@@ -154,27 +148,19 @@ TEST(Containment, DisabledByDefaultIsNullManager) {
 // event numbering shifts with protocol changes.
 TEST(Containment, SurvivorsProgressAfterMidRunKill) {
   constexpr int kTxs = 12;
-  const uint64_t total = dry_run_events(true, false, kTxs, 7, false);
+  const nvm::SystemConfig cfg = contain_cfg(/*psan=*/true);
+  const uint64_t total = round_events(cfg, kTxs, 7, false);
   ASSERT_GT(total, 8u);
 
   bool reclaimed_somewhere = false;
   for (uint64_t frac = 2; frac <= 5 && !reclaimed_somewhere; frac++) {
     const uint64_t kill_at = total / frac;
-    fault::CrashHarness h(contain_cfg(/*psan=*/true), ptm::Algo::kOrecLazy);
-    sim::RealContext ctx(0, h.pool.config().max_workers);
-    populate(h, ctx);
-    h.seal_initial_state();
-    h.pool.mem().arm_thread_fault(kill_at);
-    int kills = 0;
-    uint64_t sim_end = 0;
-    const bool crashed = h.run_until_crash(~0ull, 17, [&] {
-      sim_end = contended_round(h, kTxs, 7, /*disjoint=*/false, &kills);
-    });
-    ASSERT_FALSE(crashed);
-    h.pool.mem().clear_thread_faults();
-    if (kills == 0) continue;  // armed past the round's events
+    fault::CrashHarness h(cfg, ptm::Algo::kOrecLazy);
+    const fault::Trial t =
+        round_trial(h, {.thread_at = kill_at}, 17, kTxs, 7, /*disjoint=*/false);
+    if (t.kills == 0) continue;  // the kill struck the watchdog
+    EXPECT_TRUE(t.ok()) << "kill_at=" << kill_at << ": " << t.failure;
 
-    sweep_and_verify_online(h, sim_end);
     const stats::ContainmentStats cs = h.rt.containment()->snapshot();
     EXPECT_GE(cs.deaths, 1u);
     if (cs.stuck_tx_reclaimed >= 1) {
@@ -191,13 +177,6 @@ TEST(Containment, SurvivorsProgressAfterMidRunKill) {
     EXPECT_EQ(summ.correctness(), 0u)
         << "kill_at=" << kill_at << ": missing_flush=" << summ.missing_flush
         << " misordered_persist=" << summ.misordered_persist;
-
-    // The online verdict must also survive an actual power failure.
-    h.rt.containment()->reset();
-    h.power_fail_and_recover(ctx, 17);
-    test::expect_clean_recovery(h.report);
-    const auto res = h.verify();
-    EXPECT_TRUE(res.ok) << "post-recovery oracle: " << res.detail;
   }
   EXPECT_TRUE(reclaimed_somewhere)
       << "no searched kill event left a reclaimable transaction";
@@ -208,52 +187,25 @@ TEST(Containment, SurvivorsProgressAfterMidRunKill) {
 // Disjoint transfers (no conflict aborts perturb event numbering), the
 // victim killed at every persistence event of the round in turn, each
 // trial: watchdog reclaims (no waiter ever conflicts), online oracle,
-// power failure, post-recovery oracle. Both algorithms, ADR.
+// power failure, post-recovery verdict. Both algorithms, ADR.
 TEST(Containment, KillAtEveryEventSweep) {
   constexpr int kTxs = 2;
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
-    uint64_t total = 0;
-    {
-      fault::CrashHarness h(contain_cfg(), algo);
-      sim::RealContext ctx(0, h.pool.config().max_workers);
-      populate(h, ctx);
-      h.seal_initial_state();
-      const uint64_t before = h.pool.mem().persistence_events();
-      contended_round(h, kTxs, 3, /*disjoint=*/true);
-      total = h.pool.mem().persistence_events() - before;
-    }
-    ASSERT_GT(total, 0u);
-
     uint64_t kills_seen = 0, reclaims_seen = 0;
-    for (uint64_t ev = 1; ev <= total; ev++) {
-      fault::CrashHarness h(contain_cfg(), algo);
-      sim::RealContext ctx(0, h.pool.config().max_workers);
-      populate(h, ctx);
-      h.seal_initial_state();
-      h.pool.mem().arm_thread_fault(ev);
-      int kills = 0;
-      uint64_t sim_end = 0;
-      const bool crashed = h.run_until_crash(~0ull, ev, [&] {
-        sim_end = contended_round(h, kTxs, 3, /*disjoint=*/true, &kills);
-      });
-      ASSERT_FALSE(crashed);
-      h.pool.mem().clear_thread_faults();
-      if (kills > 0) {
-        kills_seen++;
-        sweep_and_verify_online(h, sim_end);
-        reclaims_seen += h.rt.containment()->snapshot().stuck_tx_reclaimed;
-        h.rt.containment()->reset();
-      }
-      h.power_fail_and_recover(ctx, ev);
-      test::expect_clean_recovery(h.report);
-      const auto res = h.verify();
-      EXPECT_TRUE(res.ok) << ptm::algo_suffix(algo) << " kill at event " << ev
-                          << "/" << total << ": " << res.detail;
-    }
+    const uint64_t fired = fault::CrashHarness::sweep(
+        contain_cfg(), algo, [&](fault::CrashHarness& h, uint64_t k) {
+          const fault::Trial t = round_trial(h, {.thread_at = k}, k, kTxs, 3, true);
+          EXPECT_TRUE(t.ok()) << ptm::algo_suffix(algo) << " kill at event " << k << ": "
+                              << t.failure;
+          if (t.kills > 0) kills_seen++;
+          reclaims_seen += h.rt.containment()->snapshot().stuck_tx_reclaimed;
+          return t;
+        });
+    ASSERT_GT(fired, 0u);
     // The sweep must actually have exercised the machinery: most events
     // land inside some worker's transaction, and at least one kill must
     // have left a mid-flight transaction for the watchdog.
-    EXPECT_GT(kills_seen, total / 2) << ptm::algo_suffix(algo);
+    EXPECT_GT(kills_seen, fired / 2) << ptm::algo_suffix(algo);
     EXPECT_GE(reclaims_seen, 1u) << ptm::algo_suffix(algo);
   }
 }
@@ -265,26 +217,17 @@ TEST(Containment, KillAtEveryEventSweep) {
 // another store (zombies_fenced). The heap must then verify online.
 TEST(Containment, ZombieStallIsFencedAndReclaimed) {
   constexpr int kTxs = 12;
-  const uint64_t total = dry_run_events(false, false, kTxs, 11, false);
+  const uint64_t total = round_events(contain_cfg(), kTxs, 11, false);
   ASSERT_GT(total, 8u);
 
   bool fenced_somewhere = false;
   for (uint64_t frac = 2; frac <= 5 && !fenced_somewhere; frac++) {
     fault::CrashHarness h(contain_cfg(), ptm::Algo::kOrecEager);
-    sim::RealContext ctx(0, h.pool.config().max_workers);
-    populate(h, ctx);
-    h.seal_initial_state();
-    h.pool.mem().arm_thread_fault(total / frac, 4 * kTimeoutNs);
-    int kills = 0;
-    uint64_t sim_end = 0;
-    const bool crashed = h.run_until_crash(~0ull, 17, [&] {
-      sim_end = contended_round(h, kTxs, 11, /*disjoint=*/false, &kills);
-    });
-    ASSERT_FALSE(crashed);
-    h.pool.mem().clear_thread_faults();
-    if (kills == 0) continue;
+    const fault::Trial t = round_trial(
+        h, {.thread_at = total / frac, .stall_ns = 4 * kTimeoutNs}, 17, kTxs, 11, false);
+    if (t.kills == 0) continue;
+    EXPECT_TRUE(t.ok()) << t.failure;
 
-    sweep_and_verify_online(h, sim_end);
     const stats::ContainmentStats cs = h.rt.containment()->snapshot();
     if (cs.zombies_fenced >= 1) {
       fenced_somewhere = true;
@@ -300,29 +243,22 @@ TEST(Containment, ZombieStallIsFencedAndReclaimed) {
 // is fenced, every transaction commits, and the money is conserved.
 TEST(Containment, ShortStallIsHarmless) {
   constexpr int kTxs = 12;
-  const uint64_t total = dry_run_events(false, false, kTxs, 13, false);
+  const uint64_t total = round_events(contain_cfg(), kTxs, 13, false);
   fault::CrashHarness h(contain_cfg(), ptm::Algo::kOrecLazy);
-  sim::RealContext ctx(0, h.pool.config().max_workers);
-  populate(h, ctx);
-  h.seal_initial_state();
-  h.pool.mem().arm_thread_fault(total / 2, kTimeoutNs / 2);
-  int kills = 0;
-  const bool crashed = h.run_until_crash(
-      ~0ull, 17, [&] { contended_round(h, kTxs, 13, /*disjoint=*/false, &kills); });
-  ASSERT_FALSE(crashed);
-  h.pool.mem().clear_thread_faults();
-  EXPECT_EQ(kills, 0);
+  const fault::Trial t = round_trial(
+      h, {.thread_at = total / 2, .stall_ns = kTimeoutNs / 2}, 17, kTxs, 13, false);
+  ASSERT_TRUE(t.fired);
+  EXPECT_EQ(t.kills, 0);
+  EXPECT_TRUE(t.ok()) << t.failure;
 
   const stats::ContainmentStats cs = h.rt.containment()->snapshot();
   EXPECT_EQ(cs.deaths, 0u);
   EXPECT_EQ(cs.stuck_tx_reclaimed, 0u);
   EXPECT_EQ(cs.zombies_fenced, 0u);
-  const auto res = h.verify();
-  EXPECT_TRUE(res.ok) << res.detail;
 
   auto* root = h.pool.root<BankRoot>();
   uint64_t sum = 0;
-  h.rt.run(ctx, [&](ptm::Tx& tx) {
+  h.rt.run(h.ctx, [&](ptm::Tx& tx) {
     sum = 0;
     for (int i = 0; i < kAccounts; i++) sum += tx.read(&root->bal[i]);
   });
@@ -339,32 +275,25 @@ TEST(Containment, WatchdogReclaimsUnconflictedVictim) {
   // the victim's lease expiry — the watchdog can only reclaim in-round
   // while some worker fiber is still running.
   constexpr int kTxs = 48;
-  const uint64_t total = dry_run_events(false, false, kTxs, 5, true);
+  const uint64_t total = round_events(contain_cfg(), kTxs, 5, true);
   ASSERT_GT(total, 8u);
 
   bool reclaimed_in_round = false;
   for (uint64_t frac = 4; frac <= 8 && !reclaimed_in_round; frac++) {
     fault::CrashHarness h(contain_cfg(), ptm::Algo::kOrecLazy);
-    sim::RealContext ctx(0, h.pool.config().max_workers);
-    populate(h, ctx);
-    h.seal_initial_state();
-    h.pool.mem().arm_thread_fault(total / frac);
-    int kills = 0;
-    const bool crashed = h.run_until_crash(
-        ~0ull, 17, [&] { contended_round(h, kTxs, 5, /*disjoint=*/true, &kills); });
-    ASSERT_FALSE(crashed);
-    h.pool.mem().clear_thread_faults();
-    if (kills == 0) continue;
-
-    // Snapshot BEFORE any offline sweep: the reclaim must have happened
-    // inside the engine round, i.e. by the watchdog fiber.
-    const stats::ContainmentStats cs = h.rt.containment()->snapshot();
+    populate(h);
+    // Snapshot at the end of the round, before the harness's offline
+    // sweep: the reclaim must have happened inside the engine round, i.e.
+    // by the watchdog fiber.
+    stats::ContainmentStats cs;
+    const fault::Trial t = h.trial({.thread_at = total / frac}, 17, [&] {
+      contended_round(h, kTxs, 5, /*disjoint=*/true);
+      cs = h.rt.containment()->snapshot();
+    });
+    if (t.kills == 0) continue;
+    EXPECT_TRUE(t.ok()) << t.failure;
     EXPECT_GE(cs.watchdog_passes, 1u);
-    if (cs.stuck_tx_reclaimed >= 1) {
-      reclaimed_in_round = true;
-      const auto res = h.verify();
-      EXPECT_TRUE(res.ok) << "online containment oracle: " << res.detail;
-    }
+    if (cs.stuck_tx_reclaimed >= 1) reclaimed_in_round = true;
   }
   EXPECT_TRUE(reclaimed_in_round)
       << "watchdog never reclaimed the unconflicted victim in-round";
@@ -375,47 +304,29 @@ TEST(Containment, WatchdogReclaimsUnconflictedVictim) {
 // With epoch commit on, killing the drain leader mid-epoch must let a
 // surviving member (or the watchdog, through help_close) steal the expired
 // leadership lease and re-run the staged batch from batch A. Every kill
-// event, both algorithms, psan on: each trial must pass both oracles and
+// event, both algorithms, psan on: each trial must pass both verdicts and
 // every ordering check. A leader killed in batch C has already stored its
 // own member's COMMITTED status; that store is batch C's to persist, so
 // the re-run's batch A check must not claim it.
 TEST(Containment, EpochLeaderTakeover) {
   constexpr int kTxs = 1;
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
-    const uint64_t total = dry_run_events(true, true, kTxs, 9, true, algo);
-    ASSERT_GT(total, 8u);
-
     uint64_t takeovers = 0;
-    for (uint64_t ev = 1; ev <= total; ev++) {
-      fault::CrashHarness h(contain_cfg(/*psan=*/true, /*epoch=*/true), algo);
-      ASSERT_NE(h.rt.epochs(), nullptr);
-      sim::RealContext ctx(0, h.pool.config().max_workers);
-      populate(h, ctx);
-      h.seal_initial_state();
-      h.pool.mem().arm_thread_fault(ev);
-      int kills = 0;
-      uint64_t sim_end = 0;
-      const bool crashed = h.run_until_crash(~0ull, ev, [&] {
-        sim_end = contended_round(h, kTxs, 9, /*disjoint=*/true, &kills);
-      });
-      ASSERT_FALSE(crashed);
-      h.pool.mem().clear_thread_faults();
-      if (kills == 0) continue;
-
-      sweep_and_verify_online(h, sim_end);
-      takeovers += h.rt.containment()->snapshot().leader_takeovers;
-      const auto summ = h.pool.mem().psan()->summary();
-      EXPECT_EQ(summ.correctness(), 0u)
-          << ptm::algo_suffix(algo) << " kill at event " << ev << "/" << total
-          << ": missing_flush=" << summ.missing_flush
-          << " misordered_persist=" << summ.misordered_persist;
-      h.rt.containment()->reset();
-      h.power_fail_and_recover(ctx, ev);
-      test::expect_clean_recovery(h.report);
-      const auto res = h.verify();
-      EXPECT_TRUE(res.ok) << ptm::algo_suffix(algo) << " kill at event " << ev << ": "
-                          << res.detail;
-    }
+    const uint64_t fired = fault::CrashHarness::sweep(
+        contain_cfg(/*psan=*/true, /*epoch=*/true), algo,
+        [&](fault::CrashHarness& h, uint64_t k) {
+          const fault::Trial t = round_trial(h, {.thread_at = k}, k, kTxs, 9, true);
+          EXPECT_TRUE(t.ok()) << ptm::algo_suffix(algo) << " kill at event " << k << ": "
+                              << t.failure;
+          takeovers += h.rt.containment()->snapshot().leader_takeovers;
+          const auto summ = h.pool.mem().psan()->summary();
+          EXPECT_EQ(summ.correctness(), 0u)
+              << ptm::algo_suffix(algo) << " kill at event " << k
+              << ": missing_flush=" << summ.missing_flush
+              << " misordered_persist=" << summ.misordered_persist;
+          return t;
+        });
+    ASSERT_GT(fired, 8u);
     EXPECT_GE(takeovers, 1u) << ptm::algo_suffix(algo)
                              << ": no kill event ever landed on a drain leader mid-epoch";
   }
@@ -440,21 +351,6 @@ nvm::SystemConfig trial_cfg(bool mirror) {
   return cfg;
 }
 
-/// Run `fn` with a thread fault armed `k` persistence events ahead; true
-/// when the fault killed the worker. Leftover arms are cleared.
-template <typename Fn>
-bool killed_at(nvm::Pool& pool, uint64_t k, Fn&& fn) {
-  pool.mem().arm_thread_fault(k);
-  bool killed = false;
-  try {
-    fn();
-  } catch (const nvm::FiberKill&) {
-    killed = true;
-  }
-  pool.mem().clear_thread_faults();
-  return killed;
-}
-
 // A reclaimer killed mid-pass is replaced by another, which must give
 // the victim the fate the first one decided. Worker 0 commits x = 5;
 // worker 1 writes x = 7 and is killed at its k1-th event; worker 2 reads x
@@ -464,7 +360,8 @@ bool killed_at(nvm::Pool& pool, uint64_t k, Fn&& fn) {
 // orec must carry a fresh version: restoring the pre-lock word would let a
 // reader that saw x = 5 still validate. Each trial starts with recover()
 // on one pool per configuration (a fresh runtime per trial is slow under
-// the thread sanitizer).
+// the thread sanitizer), so the kills go through fault::strike, the
+// harness's arm-run-disarm step, rather than a sweep.
 TEST(Containment, TakeoverReclaimKeepsTheVerdict) {
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
     for (bool mirror : {false, true}) {
@@ -481,14 +378,14 @@ TEST(Containment, TakeoverReclaimKeepsTheVerdict) {
           std::atomic<uint64_t>& orec = rt.orecs().for_addr(x);
           const uint64_t pre_lock = orec.load();
 
-          victim_killed = killed_at(pool, k1, [&] {
-            rt.run(w1, [&](ptm::Tx& tx) { tx.write(x, uint64_t{7}); });
-          });
+          victim_killed = fault::strike(pool.mem(), {.thread_at = k1}, 0, [&] {
+                            rt.run(w1, [&](ptm::Tx& tx) { tx.write(x, uint64_t{7}); });
+                          }).fired;
           if (!victim_killed) break;  // k1 is past the victim's events
           w2.advance(kMs);
-          const bool reclaimer_killed = killed_at(pool, k2, [&] {
-            rt.run(w2, [&](ptm::Tx& tx) { (void)tx.read(x); });
-          });
+          const bool reclaimer_killed = fault::strike(pool.mem(), {.thread_at = k2}, 0, [&] {
+                                          rt.run(w2, [&](ptm::Tx& tx) { (void)tx.read(x); });
+                                        }).fired;
           w3.advance(100 * kMs);
           uint64_t seen = 0;
           rt.run(w3, [&](ptm::Tx& tx) { seen = tx.read(x); });
@@ -554,23 +451,30 @@ TEST(Containment, ReclaimCancelsEveryLoggedAllocation) {
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
     const uint64_t off = published_block_off(algo);
     uint64_t logged_kills = 0;
-    for (uint64_t k = 1;; k++) {
-      nvm::Pool pool(trial_cfg(false));
-      ptm::Runtime rt(pool, algo);
-      sim::RealContext w0(0, 4), w1(1, 4), w2(2, 4);
-      rt.recover(w0);
-      if (!killed_at(pool, k, [&] { publish_block(rt, w1); })) break;
-      // The word is stored before the count that covers it.
-      const bool logged =
-          ptm::SlotLayout::carve(pool.worker_meta(1), pool.worker_meta_bytes())
-              .header->alloc_count >= 1;
-      w2.advance(kMs);
-      rt.containment()->sweep(w2, &rt.counters(2));
-      if (!logged) continue;
-      logged_kills++;
-      expect_block_accounted(
-          rt, off, std::string(ptm::algo_suffix(algo)) + " kill at event " + std::to_string(k));
-    }
+    const uint64_t fired = fault::CrashHarness::sweep(
+        trial_cfg(false), algo, [&](fault::CrashHarness& h, uint64_t k) {
+          sim::RealContext w1(1, 4), w2(2, 4);
+          h.rt.recover(h.ctx);
+          h.seal_initial_state();
+          fault::Trial t = h.strike({.thread_at = k}, k, [&] { publish_block(h.rt, w1); });
+          // The word is stored before the count that covers it.
+          const bool logged =
+              ptm::SlotLayout::carve(h.pool.worker_meta(1), h.pool.worker_meta_bytes())
+                  .header->alloc_count >= 1;
+          w2.advance(kMs);
+          h.rt.containment()->sweep(w2, &h.rt.counters(2));
+          const std::string at =
+              std::string(ptm::algo_suffix(algo)) + " kill at event " + std::to_string(k);
+          if (logged) {
+            logged_kills++;
+            expect_block_accounted(h.rt, off, at);
+          }
+          h.power_fail();
+          h.recover(t);
+          EXPECT_TRUE(t.ok()) << at << ": " << t.failure;
+          return t;
+        });
+    EXPECT_GT(fired, 0u) << ptm::algo_suffix(algo);
     EXPECT_GE(logged_kills, 1u) << ptm::algo_suffix(algo);
   }
 }
@@ -583,33 +487,30 @@ TEST(Containment, FirstTransactionOnNeverRecoveredPoolIsCancelled) {
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
     const uint64_t off = published_block_off(algo);
     uint64_t logged_crashes = 0;
-    for (uint64_t k = 1;; k++) {
-      nvm::Pool pool(trial_cfg(false));
-      ptm::Runtime rt(pool, algo);
-      sim::RealContext w0(0, 4), w1(1, 4);
-      pool.mem().arm_crash_after(k, k);
-      bool crashed = false;
-      try {
-        publish_block(rt, w1);
-      } catch (const nvm::CrashPoint&) {
-        crashed = true;
-      }
-      if (!crashed) break;
-      util::Rng image(k);
-      pool.simulate_power_failure(image);
-      // Logged: the durable count covers a durable word naming the block.
-      const ptm::SlotLayout slot =
-          ptm::SlotLayout::carve(pool.worker_meta(1), pool.worker_meta_bytes());
-      const uint64_t word = slot.alloc_log[0];
-      const bool logged = slot.header->alloc_count >= 1 &&
-                          ptm::AllocLogOp::op_of(word) == ptm::AllocLogOp::kAlloc &&
-                          ptm::AllocLogOp::off_of(word) == off;
-      rt.recover(w0);
-      if (!logged) continue;
-      logged_crashes++;
-      expect_block_accounted(
-          rt, off, std::string(ptm::algo_suffix(algo)) + " crash at event " + std::to_string(k));
-    }
+    const uint64_t fired = fault::CrashHarness::sweep(
+        trial_cfg(false), algo, [&](fault::CrashHarness& h, uint64_t k) {
+          sim::RealContext w1(1, 4);
+          h.seal_initial_state();
+          fault::Trial t = h.strike({.power_at = k}, k, [&] { publish_block(h.rt, w1); });
+          h.power_fail();
+          // Logged: the durable count covers a durable word naming the block.
+          const ptm::SlotLayout slot =
+              ptm::SlotLayout::carve(h.pool.worker_meta(1), h.pool.worker_meta_bytes());
+          const uint64_t word = slot.alloc_log[0];
+          const bool logged = slot.header->alloc_count >= 1 &&
+                              ptm::AllocLogOp::op_of(word) == ptm::AllocLogOp::kAlloc &&
+                              ptm::AllocLogOp::off_of(word) == off;
+          h.recover(t);
+          const std::string at =
+              std::string(ptm::algo_suffix(algo)) + " crash at event " + std::to_string(k);
+          EXPECT_TRUE(t.ok()) << at << ": " << t.failure;
+          if (logged) {
+            logged_crashes++;
+            expect_block_accounted(h.rt, off, at);
+          }
+          return t;
+        });
+    EXPECT_GT(fired, 0u) << ptm::algo_suffix(algo);
     EXPECT_GE(logged_crashes, 1u) << ptm::algo_suffix(algo);
   }
 }

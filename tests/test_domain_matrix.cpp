@@ -106,35 +106,32 @@ TEST(PdramCrash, MoneyConservedAcrossPowerFailure) {
     for (auto algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
       auto cfg = test::small_cfg(domain, nvm::Media::kOptane, /*crash_sim=*/true);
       fault::CrashHarness h(cfg, algo);
-      sim::RealContext ctx(0, 8);
       struct B {
         uint64_t bal[32];
       };
       auto* root = h.pool.root<B>();
-      h.rt.run(ctx, [&](ptm::Tx& tx) {
+      h.rt.run(h.ctx, [&](ptm::Tx& tx) {
         for (int i = 0; i < 32; i++) tx.write(&root->bal[i], uint64_t{500});
       });
 
       util::Rng rng(777);
-      const bool crashed = test::run_crash_trial(
-          h, ctx, 60 + rng.next_bounded(400), 5,
-          [&] {
-            for (int t = 0; t < 300; t++) {
-              const uint64_t a = rng.next_bounded(32);
-              const uint64_t b = (a + 1 + rng.next_bounded(31)) % 32;
-              h.rt.run(ctx, [&](ptm::Tx& tx) {
-                const uint64_t fa = tx.read(&root->bal[a]);
-                const uint64_t fb = tx.read(&root->bal[b]);
-                const uint64_t amt = fa > 7 ? 7 : fa;
-                tx.write(&root->bal[a], fa - amt);
-                tx.write(&root->bal[b], fb + amt);
-              });
-            }
-          },
-          /*check_oracle=*/true, /*image_seed=*/3);
-      ASSERT_TRUE(crashed) << "crash did not fire";
+      const fault::Trial t = h.trial({.power_at = 60 + rng.next_bounded(400)}, 5, [&] {
+        for (int i = 0; i < 300; i++) {
+          const uint64_t a = rng.next_bounded(32);
+          const uint64_t b = (a + 1 + rng.next_bounded(31)) % 32;
+          h.rt.run(h.ctx, [&](ptm::Tx& tx) {
+            const uint64_t fa = tx.read(&root->bal[a]);
+            const uint64_t fb = tx.read(&root->bal[b]);
+            const uint64_t amt = fa > 7 ? 7 : fa;
+            tx.write(&root->bal[a], fa - amt);
+            tx.write(&root->bal[b], fb + amt);
+          });
+        }
+      });
+      ASSERT_TRUE(t.fired) << "crash did not fire";
+      EXPECT_TRUE(t.ok()) << t.failure;
       uint64_t total = 0;
-      h.rt.run(ctx, [&](ptm::Tx& tx) {
+      h.rt.run(h.ctx, [&](ptm::Tx& tx) {
         total = 0;
         for (int i = 0; i < 32; i++) total += tx.read(&root->bal[i]);
       });

@@ -42,10 +42,21 @@ nvm::SystemConfig epoch_cfg(nvm::Domain domain, bool mirror) {
   return cfg;
 }
 
-void populate(fault::CrashHarness& h, sim::ExecContext& ctx, BankRoot* root) {
-  h.rt.run(ctx, [&](ptm::Tx& tx) {
+void populate(fault::CrashHarness& h) {
+  auto* root = h.pool.root<BankRoot>();
+  h.rt.run(h.ctx, [&](ptm::Tx& tx) {
     for (int i = 0; i < kAccounts; i++) tx.write(&root->bal[i], kInitBal);
   });
+}
+
+uint64_t bank_total(fault::CrashHarness& h) {
+  auto* root = h.pool.root<BankRoot>();
+  uint64_t total = 0;
+  h.rt.run(h.ctx, [&](ptm::Tx& tx) {
+    total = 0;
+    for (int i = 0; i < kAccounts; i++) total += tx.read(&root->bal[i]);
+  });
+  return total;
 }
 
 // One disjoint transfer per worker: worker w moves 5 units from account
@@ -188,8 +199,10 @@ TEST(EpochCommit, EpochOfOneIssuesThePerTxSequence) {
     uint64_t clwbs, sfences, pmem_stores;
   };
   // Over kTxs commits of three word writes, ADR: [algo R, U][plain, mirrored].
-  constexpr Cost kPinned[2][2] = {{{84, 64, 256}, {132, 80, 432}},
-                                  {{148, 96, 288}, {276, 112, 544}}};
+  // A mirrored commit fences twice more than a plain one: batch B, and the
+  // replica's retired header before the retire touches the primary.
+  constexpr Cost kPinned[2][2] = {{{84, 64, 256}, {132, 96, 432}},
+                                  {{148, 96, 288}, {276, 128, 544}}};
   for (ptm::Algo algo : {ptm::Algo::kOrecLazy, ptm::Algo::kOrecEager}) {
     for (bool mirror : {false, true}) {
       stats::TxCounters tot[2];  // over kTxs commits, so equal per commit
@@ -243,27 +256,22 @@ TEST(EpochCommit, EpochOfOneIssuesThePerTxSequence) {
 TEST(EpochCommit, ResetAfterRecoveryClearsMembership) {
   const nvm::SystemConfig cfg = epoch_cfg(nvm::Domain::kAdr, /*mirror=*/false);
 
-  // Count one clean round's persistence events, so the crash below lands
-  // mid-round — inside the epoch machinery, with members queued/staged.
-  uint64_t total_events = 0;
-  {
-    fault::CrashHarness dry(cfg, ptm::Algo::kOrecLazy);
-    sim::RealContext dctx(3, 4);
-    populate(dry, dctx, dry.pool.root<BankRoot>());
-    dry.seal_initial_state();
-    const uint64_t before = dry.pool.mem().persistence_events();
-    ASSERT_FALSE(dry.run_until_crash(~0ull, 1, [&] { one_epoch_round(dry); }));
-    total_events = dry.pool.mem().persistence_events() - before;
-  }
-  ASSERT_GT(total_events, 2u);
+  // A fault-free trial's event count puts the crash mid-round — inside
+  // the epoch machinery, with members queued/staged.
+  fault::CrashHarness clean(cfg, ptm::Algo::kOrecLazy);
+  populate(clean);
+  const fault::Trial full =
+      clean.trial(fault::Faults{}, 1, [&] { one_epoch_round(clean); });
+  EXPECT_TRUE(full.ok()) << full.failure;
+  ASSERT_GT(full.events, 2u);
 
   fault::CrashHarness h(cfg, ptm::Algo::kOrecLazy);
   ASSERT_NE(h.rt.epochs(), nullptr);
-  sim::RealContext ctx(3, 4);
-  populate(h, ctx, h.pool.root<BankRoot>());
-  const bool crashed = test::run_crash_trial(
-      h, ctx, total_events / 2, 23, [&] { one_epoch_round(h); });
-  ASSERT_TRUE(crashed);
+  populate(h);
+  const fault::Trial t =
+      h.trial({.power_at = full.events / 2}, 23, [&] { one_epoch_round(h); });
+  ASSERT_TRUE(t.fired);
+  EXPECT_TRUE(t.ok()) << t.failure;
 
   // No parked member and no stale leader may survive recovery.
   for (int w = 0; w < 4; w++) {
@@ -304,51 +312,23 @@ class EpochCrashSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(EpochCrashSweep, EveryEventAckedDurableUnackedAllOrNothing) {
   const SweepParam p = GetParam();
-
-  // Dry run: count the persistence events of one full three-member epoch
-  // round (identical seeds/schedule to the armed runs below).
-  uint64_t total_events = 0;
-  {
-    fault::CrashHarness h(epoch_cfg(p.domain, p.mirror), p.algo);
-    sim::RealContext ctx(3, 4);
-    populate(h, ctx, h.pool.root<BankRoot>());
-    h.seal_initial_state();
-    const uint64_t before = h.pool.mem().persistence_events();
-    const bool crashed =
-        h.run_until_crash(~0ull, 1, [&] { one_epoch_round(h); });
-    ASSERT_FALSE(crashed);
-    total_events = h.pool.mem().persistence_events() - before;
-  }
-  ASSERT_GT(total_events, 0u);
-
-  // Crash at every event of the epoch. The DES schedule is deterministic,
-  // so event k always lands at the same instruction of the protocol.
-  for (uint64_t k = 1; k <= total_events; k++) {
-    fault::CrashHarness h(epoch_cfg(p.domain, p.mirror), p.algo);
-    sim::RealContext ctx(3, 4);
-    auto* root = h.pool.root<BankRoot>();
-    populate(h, ctx, root);
-
-    const bool crashed = test::run_crash_trial(
-        h, ctx, k, 100 + k, [&] { one_epoch_round(h); },
-        /*check_oracle=*/true, /*image_seed=*/17 + k);
-    ASSERT_TRUE(crashed) << "event " << k << " of " << total_events;
-
-    // The oracle verdict inside run_crash_trial proved acked-durable and
-    // unacked-all-or-nothing on the raw heap bytes. Cross-check with the
-    // workload invariant: transfers conserve money whichever epoch subset
-    // survived.
-    uint64_t total = 0;
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
-      total = 0;
-      for (int i = 0; i < kAccounts; i++) total += tx.read(&root->bal[i]);
-    });
-    EXPECT_EQ(total, uint64_t{kAccounts} * kInitBal) << "event " << k;
-
-    if (p.mirror) {
-      EXPECT_EQ(h.report.records_lost, 0u) << "event " << k;
-    }
-  }
+  // Crash at every event of one full three-member epoch round. The DES
+  // schedule is deterministic, so event k always lands at the same
+  // instruction of the protocol.
+  const uint64_t fired = fault::CrashHarness::sweep(
+      epoch_cfg(p.domain, p.mirror), p.algo, [&](fault::CrashHarness& h, uint64_t k) {
+        populate(h);
+        const fault::Trial t =
+            h.trial({.power_at = k}, 100 + k, [&] { one_epoch_round(h); });
+        // The verdict's oracle proved acked-durable and unacked-all-or-
+        // nothing on the raw heap bytes. Cross-check with the workload
+        // invariant: transfers conserve money whichever epoch subset
+        // survived.
+        EXPECT_TRUE(t.ok()) << "event " << k << ": " << t.failure;
+        EXPECT_EQ(bank_total(h), uint64_t{kAccounts} * kInitBal) << "event " << k;
+        return t;
+      });
+  EXPECT_GT(fired, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,16 +1,19 @@
 // Fault-injection subsystem tests: torn-record detection, media faults,
 // writeback-adversary schedules, the durable-linearizability oracle's own
-// sensitivity, and the log-range-drop counter.
+// sensitivity, the crash-trial path's sweep and seed rules, and the
+// log-range-drop counter.
 //
 // The deterministic crash-during-recovery sweep lives in test_crash.cpp
 // (CrashDuringRecoveryIsSafe); the randomized schedule explorer is the
 // crashfuzz binary (src/fault/crashfuzz.cpp) — these tests pin the sharp
 // edges those two drive at scale.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "fault/harness.h"
 #include "ptm/runtime.h"
@@ -180,20 +183,19 @@ TEST_P(AdversaryTest, BankSurvivesEveryWritebackSchedule) {
       cfg.torn_stores = true;
       cfg.writeback_adversary = GetParam();
       fault::CrashHarness h(cfg, algo);
-      sim::RealContext ctx(0, 4);
       auto* bal = h.pool.root<uint64_t[16]>();
-      h.rt.run(ctx, [&](ptm::Tx& tx) {
+      h.rt.run(h.ctx, [&](ptm::Tx& tx) {
         for (int i = 0; i < 16; i++) tx.write(&(*bal)[i], uint64_t{100});
       });
 
+      // Short schedules may outrun the arm point: still judged.
       util::Rng rng(2200 + trial);
-      const bool crashed = test::run_crash_trial(
-          h, ctx, 20 + rng.next_bounded(500), trial * 7 + 3,
-          [&] {
-            for (int t = 0; t < 150; t++) {
+      const fault::Trial t =
+          h.trial({.power_at = 20 + rng.next_bounded(500)}, trial * 7 + 3, [&] {
+            for (int i = 0; i < 150; i++) {
               const uint64_t a = rng.next_bounded(16);
               const uint64_t b = (a + 1 + rng.next_bounded(15)) % 16;
-              h.rt.run(ctx, [&](ptm::Tx& tx) {
+              h.rt.run(h.ctx, [&](ptm::Tx& tx) {
                 const uint64_t fa = tx.read(&(*bal)[a]);
                 const uint64_t fb = tx.read(&(*bal)[b]);
                 const uint64_t amt = fa > 9 ? 9 : fa;
@@ -201,12 +203,11 @@ TEST_P(AdversaryTest, BankSurvivesEveryWritebackSchedule) {
                 tx.write(&(*bal)[b], fb + amt);
               });
             }
-          },
-          /*check_oracle=*/true, /*image_seed=*/trial + 40);
-      (void)crashed;  // short schedules may outrun the arm point: still verified
+          });
+      EXPECT_TRUE(t.ok()) << ptm::algo_suffix(algo) << " trial " << trial << ": " << t.failure;
 
       uint64_t total = 0;
-      h.rt.run(ctx, [&](ptm::Tx& tx) {
+      h.rt.run(h.ctx, [&](ptm::Tx& tx) {
         total = 0;
         for (int i = 0; i < 16; i++) total += tx.read(&(*bal)[i]);
       });
@@ -238,21 +239,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Oracle, DetectsSilentHeapCorruption) {
   fault::CrashHarness h(test::crash_cfg(), ptm::Algo::kOrecLazy);
-  sim::RealContext ctx(0, 4);
   auto* bal = h.pool.root<uint64_t[8]>();
-  h.rt.run(ctx, [&](ptm::Tx& tx) {
+  h.rt.run(h.ctx, [&](ptm::Tx& tx) {
     for (int i = 0; i < 8; i++) tx.write(&(*bal)[i], uint64_t{50});
   });
 
-  // No crash (the arm point is far past the run): every transaction
-  // commits, so the oracle's expectation is exact — no in-flight subset
-  // could explain a divergent word.
+  // No fault armed: every transaction commits, so the oracle's
+  // expectation is exact — no in-flight subset could explain a divergent
+  // word.
   util::Rng rng(91);
-  test::run_crash_trial(h, ctx, 1ull << 40, 3, [&] {
-    for (int t = 0; t < 40; t++) {
+  const fault::Trial t = h.trial(fault::Faults{}, 3, [&] {
+    for (int i = 0; i < 40; i++) {
       const uint64_t a = rng.next_bounded(8);
       const uint64_t b = (a + 1) % 8;
-      h.rt.run(ctx, [&](ptm::Tx& tx) {
+      h.rt.run(h.ctx, [&](ptm::Tx& tx) {
         const uint64_t fa = tx.read(&(*bal)[a]);
         const uint64_t fb = tx.read(&(*bal)[b]);
         tx.write(&(*bal)[a], fa - 1);
@@ -261,19 +261,104 @@ TEST(Oracle, DetectsSilentHeapCorruption) {
     }
     // Touch the word the corruption below will target, so it is
     // provably part of the recorded history.
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) {
       tx.write(&(*bal)[3], tx.read(&(*bal)[3]) + 2);
     });
   });
+  ASSERT_TRUE(t.ok()) << t.failure;
 
-  // run_crash_trial already asserted verify().ok. Now change one word
-  // behind the PTM's back: the oracle must notice.
+  // Now change one word behind the PTM's back: the oracle must notice.
   (*bal)[3] += 5;
-  const auto res = h.verify();
+  const auto res = h.oracle.verify();
   EXPECT_FALSE(res.ok) << "oracle accepted a corrupted heap";
   EXPECT_FALSE(res.detail.empty());
   (*bal)[3] -= 5;
-  EXPECT_TRUE(h.verify().ok) << "oracle verdict not restored after undo";
+  EXPECT_TRUE(h.oracle.verify().ok) << "oracle verdict not restored after undo";
+}
+
+// ---------------------------------------------------------------------------
+// The crash-trial path itself (fault::CrashHarness): a sweep strikes every
+// event of its body exactly once and stops after the one trial that runs
+// past the end; a body with no event gives a sweep nothing to fire; and
+// the trial's seed is what resolves its crash image.
+
+// Four cells on worker 0 (power failures) or two per worker on a
+// two-worker containment round (kills), on a torn-store ADR pool cut to
+// 2 MiB: every trial builds one.
+nvm::SystemConfig path_cfg() {
+  auto cfg = test::crash_cfg();
+  cfg.pool_size = 2ull << 20;
+  cfg.torn_stores = true;
+  cfg.tx_timeout_ns = 20000;  // containment on: kill trials get reclaimed
+  return cfg;
+}
+
+void write_cells(fault::CrashHarness& h, sim::ExecContext& ctx, int first, int n) {
+  auto* cells = h.pool.root<std::array<uint64_t, 8>>();
+  h.rt.run(ctx, [&](ptm::Tx& tx) {
+    for (int i = first; i < first + n; i++) tx.write(&(*cells)[i], uint64_t{7});
+  });
+}
+
+TEST(CrashTrialPath, SweepsStrikeEveryEventOnceThenStop) {
+  const auto power_body = [](fault::CrashHarness& h) { write_cells(h, h.ctx, 0, 4); };
+  const auto kill_body = [](fault::CrashHarness& h) {
+    h.run_round(2, 5000, [&](sim::ExecContext& w) { write_cells(h, w, 2 * w.worker_id(), 2); });
+  };
+  for (bool kill : {false, true}) {
+    const auto body = [&](fault::CrashHarness& h) { kill ? kill_body(h) : power_body(h); };
+    fault::CrashHarness clean(path_cfg(), ptm::Algo::kOrecLazy);
+    const fault::Trial full = clean.trial(fault::Faults{}, 1, [&] { body(clean); });
+    ASSERT_TRUE(full.ok()) << full.failure;
+    ASSERT_GT(full.events, 0u);
+
+    std::vector<uint64_t> struck, missed;
+    const uint64_t fired = fault::CrashHarness::sweep(
+        path_cfg(), ptm::Algo::kOrecLazy, [&](fault::CrashHarness& h, uint64_t k) {
+          const fault::Faults f = kill ? fault::Faults{.thread_at = k} : fault::Faults{.power_at = k};
+          const fault::Trial t = h.trial(f, k, [&] { body(h); });
+          EXPECT_TRUE(t.ok()) << (kill ? "kill" : "power failure") << " at " << k << ": "
+                              << t.failure;
+          (t.fired ? struck : missed).push_back(k);
+          return t;
+        });
+    std::vector<uint64_t> every(full.events);
+    for (uint64_t k = 1; k <= full.events; k++) every[k - 1] = k;
+    EXPECT_EQ(fired, full.events) << (kill ? "kill" : "power failure");
+    EXPECT_EQ(struck, every) << (kill ? "kill" : "power failure");
+    EXPECT_EQ(missed, std::vector<uint64_t>{full.events + 1}) << (kill ? "kill" : "power failure");
+  }
+}
+
+TEST(CrashTrialPath, BodyWithoutEventsFiresNothing) {
+  uint64_t trials = 0;
+  const uint64_t fired = fault::CrashHarness::sweep(
+      path_cfg(), ptm::Algo::kOrecLazy, [&](fault::CrashHarness& h, uint64_t k) {
+        trials++;
+        return h.trial({.power_at = k}, k, [] {});
+      });
+  EXPECT_EQ(fired, 0u);
+  EXPECT_EQ(trials, 1u);
+  // The assertion every suite makes on its sweep's count catches it.
+  EXPECT_NONFATAL_FAILURE(EXPECT_GT(fired, 0u), "fired");
+}
+
+TEST(CrashTrialPath, SeedResolvesTheImage) {
+  // The image a power failure at event k leaves, before recovery.
+  const auto image = [](uint64_t k, uint64_t seed) {
+    fault::CrashHarness h(path_cfg(), ptm::Algo::kOrecLazy);
+    h.seal_initial_state();
+    h.strike({.power_at = k}, seed, [&] { write_cells(h, h.ctx, 0, 4); });
+    h.power_fail();
+    return std::vector<char>(h.pool.base(), h.pool.base() + h.pool.size());
+  };
+  uint64_t differ = 0;
+  for (uint64_t k = 1; k <= 24; k++) {
+    const std::vector<char> a = image(k, 100 + k);
+    EXPECT_TRUE(a == image(k, 100 + k)) << "event " << k << ": one seed, two images";
+    if (a != image(k, 200 + k)) differ++;
+  }
+  EXPECT_GT(differ, 0u) << "no event's image depends on the trial's seed";
 }
 
 // ---------------------------------------------------------------------------
@@ -305,47 +390,24 @@ class MirrorSealSweep
 
 TEST_P(MirrorSealSweep, CrashAtEveryEventLosesNothing) {
   const auto [algo, domain] = GetParam();
-  // One probe run measures the event count of the mirrored commit.
-  uint64_t total_events = 0;
-  {
-    auto cfg = test::crash_cfg(domain);
-    cfg.log_mirror = true;
-    cfg.torn_stores = true;
-    nvm::Pool pool(cfg);
-    ptm::Runtime rt(pool, algo);
-    sim::RealContext ctx(0, 4);
-    auto* cells = pool.root<std::array<uint64_t, 8>>();
-    const uint64_t before = pool.mem().persistence_events();
-    rt.run(ctx, [&](ptm::Tx& tx) {
-      for (int i = 0; i < 8; i++) tx.write(&(*cells)[i], static_cast<uint64_t>(i));
-    });
-    total_events = pool.mem().persistence_events() - before;
-  }
-  ASSERT_GT(total_events, 0u);
-
-  for (uint64_t k = 1; k <= total_events; k++) {
-    auto cfg = test::crash_cfg(domain);
-    cfg.log_mirror = true;
-    cfg.torn_stores = true;
-    fault::CrashHarness h(cfg, algo);
-    sim::RealContext ctx(0, 4);
-    auto* cells = h.pool.root<std::array<uint64_t, 8>>();
-    for (int i = 0; i < 8; i++) (*cells)[i] = 100;
-    h.seal_initial_state();
-
-    h.run_until_crash(k, /*crash_seed=*/1000 + k, [&] {
-      h.rt.run(ctx, [&](ptm::Tx& tx) {
-        for (int i = 0; i < 8; i++) tx.write(&(*cells)[i], static_cast<uint64_t>(i));
+  auto cfg = test::crash_cfg(domain);
+  cfg.log_mirror = true;
+  cfg.torn_stores = true;
+  const uint64_t fired =
+      fault::CrashHarness::sweep(cfg, algo, [&](fault::CrashHarness& h, uint64_t k) {
+        auto* cells = h.pool.root<std::array<uint64_t, 8>>();
+        for (int i = 0; i < 8; i++) (*cells)[i] = 100;
+        const fault::Trial t = h.trial({.power_at = k}, 1000 + k, [&] {
+          h.rt.run(h.ctx, [&](ptm::Tx& tx) {
+            for (int i = 0; i < 8; i++) tx.write(&(*cells)[i], static_cast<uint64_t>(i));
+          });
+        });
+        // The verdict includes zero lost records.
+        EXPECT_TRUE(t.ok()) << "event " << k << ": " << t.failure;
+        EXPECT_TRUE(h.report.mirror_enabled);
+        return t;
       });
-    });
-    h.power_fail_and_recover(ctx, /*image_seed=*/k);
-
-    test::expect_clean_recovery(h.report);
-    EXPECT_TRUE(h.report.mirror_enabled);
-    EXPECT_EQ(h.report.records_lost, 0u) << "event " << k << "/" << total_events;
-    const auto res = h.verify();
-    EXPECT_TRUE(res.ok) << "event " << k << "/" << total_events << ": " << res.detail;
-  }
+  EXPECT_GT(fired, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -181,12 +181,10 @@ TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
 TEST(MirrorRecovery, CrashDuringHeaderRepairIsSafe) {
   for (const uint64_t k : {1ull, 2ull, 3ull, 5ull, 8ull, 13ull, 21ull, 34ull}) {
     fault::CrashHarness h(mirror_cfg(), ptm::Algo::kOrecLazy);
-    sim::RealContext ctx(0, 4);
     auto* root = h.pool.root<Root>();
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) {
       for (int i = 0; i < 16; i++) tx.write(&root->cells[i], static_cast<uint64_t>(100 + i));
     });
-    h.seal_initial_state();
 
     // Rot the (sealed, quiesced) primary header; the first recovery's
     // mirror repair is then interrupted at event k. Whatever state the
@@ -196,13 +194,13 @@ TEST(MirrorRecovery, CrashDuringHeaderRepairIsSafe) {
     auto slot = ptm::SlotLayout::carve(h.pool.worker_meta(0), h.pool.worker_meta_bytes(),
                                        /*mirror=*/true);
     h.pool.mem().inject_media_fault(h.pool.mem().line_of(slot.header));
-    h.run_until_crash(k, /*crash_seed=*/k * 13 + 1, [&] { h.rt.recover(ctx); });
-    h.power_fail_and_recover(ctx, /*image_seed=*/k + 3);
-
-    test::expect_clean_recovery(h.report);
-    EXPECT_EQ(h.report.records_lost, 0u) << "crash point " << k;
-    const auto res = h.verify();
-    EXPECT_TRUE(res.ok) << "crash point " << k << ": " << res.detail;
+    const fault::Trial t = h.trial({.power_at = k}, k * 13 + 1, [&] { h.rt.recover(h.ctx); },
+                                   {.media = true});
+    EXPECT_TRUE(t.ok()) << "crash point " << k << ": " << t.failure;
+    // The poison hit the header, which the mirror repairs: no record and
+    // no committed log may count as damaged.
+    EXPECT_EQ(h.report.records_media_faulted, 0u) << "crash point " << k;
+    EXPECT_EQ(h.report.log_crc_mismatches, 0u) << "crash point " << k;
     for (int i = 0; i < 16; i++) {
       EXPECT_EQ(root->cells[i], 100u + i) << "crash point " << k;
     }
@@ -212,24 +210,20 @@ TEST(MirrorRecovery, CrashDuringHeaderRepairIsSafe) {
 TEST(Scrub, CrashDuringScrubRepairIsSafe) {
   for (const uint64_t k : {1ull, 2ull, 4ull, 7ull, 11ull, 16ull, 25ull}) {
     fault::CrashHarness h(mirror_cfg(), ptm::Algo::kOrecEager);
-    sim::RealContext ctx(0, 4);
     auto* root = h.pool.root<Root>();
-    h.rt.run(ctx, [&](ptm::Tx& tx) {
+    h.rt.run(h.ctx, [&](ptm::Tx& tx) {
       for (int i = 0; i < 16; i++) tx.write(&root->cells[i], static_cast<uint64_t>(200 + i));
     });
-    h.seal_initial_state();
 
     auto slot = ptm::SlotLayout::carve(h.pool.worker_meta(0), h.pool.worker_meta_bytes(),
                                        /*mirror=*/true);
     h.pool.mem().inject_media_fault(h.pool.mem().line_of(slot.header));
     ptm::Scrubber scrub(h.rt);
-    h.run_until_crash(k, /*crash_seed=*/k * 7 + 5, [&] { scrub.run_pass(ctx); });
-    h.power_fail_and_recover(ctx, /*image_seed=*/k + 9);
-
-    test::expect_clean_recovery(h.report);
-    EXPECT_EQ(h.report.records_lost, 0u) << "crash point " << k;
-    const auto res = h.verify();
-    EXPECT_TRUE(res.ok) << "crash point " << k << ": " << res.detail;
+    const fault::Trial t = h.trial({.power_at = k}, k * 7 + 5, [&] { scrub.run_pass(h.ctx); },
+                                   {.media = true});
+    EXPECT_TRUE(t.ok()) << "crash point " << k << ": " << t.failure;
+    EXPECT_EQ(h.report.records_media_faulted, 0u) << "crash point " << k;
+    EXPECT_EQ(h.report.log_crc_mismatches, 0u) << "crash point " << k;
   }
 }
 

@@ -335,84 +335,52 @@ constexpr uint64_t kSweepWords = 60;  // 28 -> 56 -> 112: two growths
 constexpr uint64_t kOldBase = 100;
 constexpr uint64_t kNewBase = 1000;
 
+// Every trial builds, snapshots and power-fails a whole pool, so the pool
+// is no larger than the two-segment commit needs.
 nvm::SystemConfig sweep_cfg(const SweepParam& p) {
   auto cfg = test::small_cfg(p.domain, nvm::Media::kOptane, /*crash_sim=*/true);
-  cfg.pool_size = 4ull << 20;
+  cfg.pool_size = 2ull << 20;
   cfg.max_workers = 2;
   cfg.log_mirror = p.mirror;
   cfg.per_worker_meta_bytes = p.mirror ? kMirrorMicroMeta : kMicroMeta;
   return cfg;
 }
 
-void sweep_populate(nvm::Pool& pool, uint64_t* heap) {
-  for (uint64_t i = 0; i < kSweepWords; i++) heap[i] = kOldBase + i;
-  pool.mem().checkpoint_all_persistent();
-}
-
-void sweep_tx(ptm::Runtime& rt, sim::ExecContext& ctx, uint64_t* heap) {
-  rt.run(ctx, [&](ptm::Tx& tx) {
-    for (uint64_t i = 0; i < kSweepWords; i++) tx.write(&heap[i], kNewBase + i);
-  });
-}
-
 TEST_P(OverflowCrashSweep, EveryPersistenceEventRecoversConsistently) {
-  // Dry run: measure the scenario's persistence-event count and validate
-  // its shape (the commit must actually cross two overflow growths).
-  uint64_t n_events;
-  {
-    auto cfg = sweep_cfg(GetParam());
-    nvm::Pool pool(cfg);
-    ptm::Runtime rt(pool, GetParam().algo);
-    sim::RealContext ctx(0, cfg.max_workers);
-    uint64_t* heap = scratch_region(pool);
-    sweep_populate(pool, heap);
-    const uint64_t e0 = pool.mem().persistence_events();
-    sweep_tx(rt, ctx, heap);
-    n_events = pool.mem().persistence_events() - e0;
-    const auto totals = stats::aggregate(rt.snapshot_counters());
-    ASSERT_EQ(totals.aborts_of(stats::AbortCause::kCapacity), 2u);
-    ASSERT_EQ(totals.log_growths, 2u);
-    ASSERT_GT(n_events, 0u);
-  }
+  const uint64_t fired = fault::CrashHarness::sweep(
+      sweep_cfg(GetParam()), GetParam().algo, [&](fault::CrashHarness& h, uint64_t k) {
+        uint64_t* heap = scratch_region(h.pool);
+        for (uint64_t i = 0; i < kSweepWords; i++) heap[i] = kOldBase + i;
+        const fault::Trial t = h.trial({.power_at = k}, 1234 + k, [&] {
+          h.rt.run(h.ctx, [&](ptm::Tx& tx) {
+            for (uint64_t i = 0; i < kSweepWords; i++) tx.write(&heap[i], kNewBase + i);
+          });
+        });
+        EXPECT_TRUE(t.ok()) << "event " << k << ": " << t.failure;
+        if (!t.fired) {
+          // The completed run: the commit must actually have crossed two
+          // overflow growths.
+          const auto totals = stats::aggregate(h.rt.snapshot_counters());
+          EXPECT_EQ(totals.aborts_of(stats::AbortCause::kCapacity), 2u);
+          EXPECT_EQ(totals.log_growths, 2u);
+        }
 
-  for (uint64_t k = 1; k <= n_events; k++) {
-    auto cfg = sweep_cfg(GetParam());
-    nvm::Pool pool(cfg);
-    ptm::Runtime rt(pool, GetParam().algo);
-    sim::RealContext ctx(0, cfg.max_workers);
-    uint64_t* heap = scratch_region(pool);
-    sweep_populate(pool, heap);
+        // Linearizable durability: the transaction is all-or-nothing —
+        // every word shows the old value, or every word shows the new one.
+        const bool first_new = heap[0] == kNewBase;
+        for (uint64_t i = 0; i < kSweepWords; i++) {
+          EXPECT_EQ(heap[i], (first_new ? kNewBase : kOldBase) + i)
+              << "torn state at word " << i << " after crash at event " << k;
+        }
 
-    pool.mem().arm_crash_after(k, /*rng_seed=*/1234 + k);
-    bool crashed = false;
-    try {
-      sweep_tx(rt, ctx, heap);
-    } catch (const nvm::CrashPoint&) {
-      crashed = true;
-    }
-
-    if (crashed) {
-      util::Rng rng(42);
-      pool.simulate_power_failure(rng);
-      rt.recover(ctx);
-    }
-
-    // Linearizable durability: the transaction is all-or-nothing — every
-    // word shows the old value, or every word shows the new one.
-    const bool first_new = heap[0] == kNewBase;
-    for (uint64_t i = 0; i < kSweepWords; i++) {
-      const uint64_t expect = (first_new ? kNewBase : kOldBase) + i;
-      ASSERT_EQ(heap[i], expect)
-          << "torn state at word " << i << " after crash at event " << k << " ("
-          << (crashed ? "crashed" : "completed") << ")";
-    }
-
-    // The recovered pool is fully usable for further transactions.
-    rt.run(ctx, [&](ptm::Tx& tx) {
-      for (uint64_t i = 0; i < 3; i++) tx.write(&heap[i], uint64_t{5 + i});
-    });
-    for (uint64_t i = 0; i < 3; i++) ASSERT_EQ(heap[i], 5 + i);
-  }
+        // The recovered pool is fully usable for further transactions.
+        h.rt.run(h.ctx, [&](ptm::Tx& tx) {
+          for (uint64_t i = 0; i < 3; i++) tx.write(&heap[i], uint64_t{5 + i});
+        });
+        for (uint64_t i = 0; i < 3; i++) EXPECT_EQ(heap[i], 5 + i);
+        return t;
+      });
+  EXPECT_GT(fired, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

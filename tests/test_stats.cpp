@@ -334,8 +334,8 @@ stats::RunResult all_sections_on() {
   return r;
 }
 
-// The artifact schema, byte for byte: consumers (compare_results.py,
-// check_gates.py, the docs) depend on these keys and their order. A point
+// The artifact schema, byte for byte: consumers (check_gates.py's gates
+// and compare, the docs) depend on these keys and their order. A point
 // with every opt-in section off has the default-config shape; turned on,
 // the sections follow "recovery" in this order.
 constexpr std::string_view kAllOffJson =
