@@ -2,18 +2,17 @@
 """The artifact checks: section gates and the two-artifact compare.
 
 Section gates fail if a gated report section carries a nonzero gated
-counter. One table-driven gate covers the opt-in report sections. Each row
-of GATES below names a section, the keys that must be zero (with the
-reason a nonzero value is a bug), the keys that are only reported, keys
-gated only when a flag in the same record is set, and whether an input
-with no records of the section fails.
+counter. One table-driven gate covers the report sections. Each row of
+GATES below names a section, the keys that must be zero (with the reason
+a nonzero value is a bug), the keys that are only reported, keys gated
+only when a flag in the same record is set, and whether an artifact point
+without the section fails.
 
-Inputs (docs/OBSERVABILITY.md and docs/ANALYSIS.md have the schemas):
-
-  * REPRO_JSON bench artifacts: every point under "results" may carry the
-    section as a key (e.g. "psan", "recovery", "abort_causes");
-  * for psan and rsan, also the REPRO_PSAN_OUT / REPRO_RSAN_OUT JSONL
-    streams: one summary object per pool teardown.
+Inputs are REPRO_JSON bench artifacts (docs/OBSERVABILITY.md has the
+schemas): every point under "results" may carry the section as a key
+("recovery", "abort_causes"). psan and rsan have no gate here: a
+correctness diagnostic aborts the bench at pool teardown, before any
+artifact is written (docs/ANALYSIS.md, "The verdict").
 
 `compare` diffs two REPRO_JSON artifacts. Points are matched on (bench,
 label, threads); a throughput drop beyond PCT percent (default 5) is a
@@ -24,7 +23,7 @@ counts. Comparing an artifact against itself reports no regression. Host
 it.
 
 Usage: check_gates.py SECTION FILE [FILE ...]
-       SECTION is one of: psan, rsan, recovery, abort_causes
+       SECTION is one of: recovery, abort_causes
        check_gates.py compare BASELINE CANDIDATE [--threshold PCT]
 Exit status: 0 all clean, 1 any gated counter nonzero or a compare
 regression (or unreadable input, or a missing record the section
@@ -44,48 +43,11 @@ class Gate:
     gated: dict              # key -> why a nonzero value is a bug
     informational: tuple     # summed and reported, never fail
     conditional: dict = field(default_factory=dict)  # key -> (flag, why)
-    jsonl: bool = False      # also accepts the REPRO_*_OUT JSONL stream
-    empty_fails: bool = False    # zero records: the layer never ran
     missing_fails: bool = False  # an artifact point without the section
     hint: str = ""           # printed once when any file fails
 
 
 GATES = {
-    # Any nonzero correctness kind is a recovery-correctness bug: a crash
-    # at the right instant loses committed data. Perf lints and crash
-    # debris (ordinary mid-transaction state at a power failure) are not.
-    "psan": Gate(
-        gated={
-            "missing_flush":
-                "line not durable at an ordering point that requires it",
-            "misordered_persist":
-                "store issued ahead of a required-durable range",
-        },
-        informational=("redundant_flush", "redundant_fence",
-                       "unflushed_at_crash", "torn_at_crash",
-                       "diags_dropped"),
-        jsonl=True, empty_fails=True,
-        hint="persistency-sanitizer violations — each diagnostic names the "
-             "ordering point and carries replayable event indices; see "
-             "docs/ANALYSIS.md"),
-    # The simulated schedule that produced a diagnostic is a witness, not
-    # a heuristic. diags_dropped can only be nonzero once a gated kind is.
-    "rsan": Gate(
-        gated={
-            "write_write_race":
-                "conflicting stores with no happens-before edge",
-            "read_write_race":
-                "raw load raced a later store from another worker",
-            "orec_coverage": "transactional store to a word no orec covered",
-            "early_release":
-                "orec released before its covered stores persisted",
-        },
-        informational=("diags_dropped",),
-        jsonl=True, empty_fails=True,
-        hint="race-sanitizer diagnostics — each names the racing workers "
-             "and carries replayable event indices; rerun the failing "
-             "binary with REPRO_RSAN=1 REPRO_RSAN_ABORT=1 for a backtrace; "
-             "see docs/ANALYSIS.md"),
     # Startup recovery of a clean bench run must refuse nothing: anything
     # discarded means the product corrupted or mis-sized its own metadata
     # before the measured run began. Mirrored pools also promise zero loss.
@@ -126,18 +88,11 @@ GATES = {
 
 
 def records(path, section, gate):
-    """Yield (label, record) per `section` record in one file; the record
-    is None for an artifact point that lacks a section it must carry."""
+    """Yield (label, record) per `section` record in one artifact; the
+    record is None for a point that lacks a section it must carry."""
     with open(path) as f:
-        text = f.read()
-    head = text.lstrip()
-    if gate.jsonl and not (head.startswith("{")
-                           and '"results"' in head[:4096]):
-        for i, line in enumerate(text.splitlines(), 1):
-            if line.strip():
-                yield f"record {i}", json.loads(line)
-        return
-    for point in json.loads(text).get("results", []):
+        doc = json.load(f)
+    for point in doc.get("results", []):
         label = "[{}] {} @ {} threads".format(
             point.get("bench", "?"), point.get("label", "?"),
             point.get("threads", "?"))
@@ -266,12 +221,6 @@ def main(argv):
             n, bad, info = check(path, section, gate)
         except (OSError, ValueError) as e:
             print(f"{path}: cannot read {section} records: {e}",
-                  file=sys.stderr)
-            failed = True
-            continue
-        if n == 0 and gate.empty_fails:
-            print(f"{path}: no {section} records — the layer never ran "
-                  f"(is REPRO_{section.upper()}=1 exported?)",
                   file=sys.stderr)
             failed = True
             continue

@@ -6,7 +6,7 @@ gated.
 The cases pin the failure modes that once let the gates pass vacuously:
 the abort check never firing from a zero baseline, the hang guard
 passing exit codes through / reliably killing a hung process tree with
-the post-mortem on stderr, and a section gate that passes an empty or
+the post-mortem on stderr, and a section gate that passes a missing or
 unreadable input. One more case keeps docs/OBSERVABILITY.md's knob table
 in step with the REPRO_* names the code reads.
 
@@ -128,13 +128,6 @@ def gate(section, *paths):
 # What each gated section must do, written out independently of the gate
 # script's own table: (gated keys, informational keys).
 SECTIONS = {
-    "psan": (("missing_flush", "misordered_persist"),
-             ("events", "checks", "redundant_flush", "redundant_fence",
-              "unflushed_at_crash", "torn_at_crash", "diags_dropped")),
-    "rsan": (("write_write_race", "read_write_race", "orec_coverage",
-              "early_release"),
-             ("events", "loads", "stores", "acquires", "releases",
-              "validated_reads", "inherits", "diags_dropped")),
     "recovery": (("records_discarded", "records_torn", "records_invalid",
                   "records_media_faulted", "log_crc_mismatches",
                   "media_faults", "segment_links_truncated",
@@ -147,14 +140,11 @@ SECTIONS = {
                      ("read_conflict", "write_conflict", "validation",
                       "explicit")),
 }
-SANITIZERS = ("psan", "rsan")  # the sections with a REPRO_*_OUT JSONL form
 
 
 def clean_section(section, **overrides):
     gated, info = SECTIONS[section]
     obj = dict.fromkeys(gated + info, 0)
-    if section == "psan":
-        obj["redundant_fence_by_phase"] = {}
     obj.update(overrides)
     return obj
 
@@ -168,20 +158,8 @@ def artifact(section=None, obj=None, points=1):
 
 
 class GateTest(TempDirTest):
-    def jsonl(self, name, records):
-        path = os.path.join(self.dir, name)
-        with open(path, "w") as f:
-            for rec in records:
-                f.write(json.dumps(dict(rec, enabled=True)) + "\n")
-        return path
-
-    def inputs(self, section, obj):
-        """Every form a section can arrive in: the bench artifact, plus the
-        JSONL stream for the sanitizers."""
-        paths = [self.write(f"{section}.json", artifact(section, obj))]
-        if section in SANITIZERS:
-            paths.append(self.jsonl(f"{section}.jsonl", [obj, obj]))
-        return paths
+    def section_file(self, section, obj):
+        return self.write(f"{section}.json", artifact(section, obj))
 
     def assertGate(self, code, section, *paths):
         r = gate(section, *paths)
@@ -190,30 +168,20 @@ class GateTest(TempDirTest):
 
     def test_clean_input_passes(self):
         for section in SECTIONS:
-            for path in self.inputs(section, clean_section(section)):
-                self.assertGate(0, section, path)
+            self.assertGate(0, section,
+                            self.section_file(section, clean_section(section)))
 
     def test_each_gated_key_fails(self):
         for section, (gated, _info) in SECTIONS.items():
             for key in gated:
-                for path in self.inputs(section,
-                                        clean_section(section, **{key: 3})):
-                    self.assertGate(1, section, path)
+                self.assertGate(1, section, self.section_file(
+                    section, clean_section(section, **{key: 3})))
 
     def test_informational_keys_never_fail(self):
         for section, (_gated, info) in SECTIONS.items():
             noisy = clean_section(section,
                                   **{k: i + 5 for i, k in enumerate(info)})
-            if section == "psan":
-                noisy["redundant_fence_by_phase"] = {"abort_backoff": 9}
-            for path in self.inputs(section, noisy):
-                self.assertGate(0, section, path)
-
-    def test_empty_sanitizer_input_fails(self):
-        # A gated run whose sanitizer never started is a plumbing bug.
-        for section in SANITIZERS:
-            self.assertGate(1, section, self.jsonl("empty.jsonl", []))
-            self.assertGate(1, section, self.write("bare.json", artifact()))
+            self.assertGate(0, section, self.section_file(section, noisy))
 
     def test_artifact_gates_accept_zero_points(self):
         for section in ("recovery", "abort_causes"):

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-
-#include "stats/report.h"
 
 namespace analysis {
 
@@ -19,47 +16,23 @@ const char* diag_kind_name(DiagKind k) {
   return "?";
 }
 
-Psan::Psan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers)
-    : tracks_(cfg.needs_flushes()), num_lines_(num_lines) {
-  // +1: Memory passes worker -1 (setup / recovery outside an ExecContext)
-  // which maps onto the last state slot.
-  w_.resize(static_cast<size_t>(max_workers) + 1);
-  sum_.enabled = true;
+std::string Diag::describe() const {
+  char buf[384];
+  std::snprintf(buf, sizeof(buf),
+                "%s worker=%d tx=%llu line=%llu store_event=%llu at_event=%llu: %s [%s]",
+                diag_kind_name(kind), worker, static_cast<unsigned long long>(tx_id),
+                static_cast<unsigned long long>(line),
+                static_cast<unsigned long long>(store_event),
+                static_cast<unsigned long long>(at_event), what, state);
+  return buf;
 }
 
-Psan::~Psan() {
-  const stats::PsanSummary s = summary();
-  // Undrained correctness findings are loud even without the JSONL sink:
-  // a unit test that trips an ordering bug fails the psan gate's run even
-  // if its own assertions never look at psan.
-  if (s.correctness() > 0) {
-    std::fprintf(stderr,
-                 "psan: %llu ordering violation(s) at pool teardown "
-                 "(missing_flush=%llu misordered_persist=%llu)\n",
-                 static_cast<unsigned long long>(s.correctness()),
-                 static_cast<unsigned long long>(s.missing_flush),
-                 static_cast<unsigned long long>(s.misordered_persist));
-    for (const Diag& d : drain()) {
-      if (d.kind != DiagKind::kMissingFlush && d.kind != DiagKind::kMisorderedPersist) {
-        continue;
-      }
-      std::fprintf(stderr,
-                   "psan:   %s worker=%d tx=%llu line=%llu store_event=%llu "
-                   "at_event=%llu: %s [%s]\n",
-                   diag_kind_name(d.kind), d.worker,
-                   static_cast<unsigned long long>(d.tx_id),
-                   static_cast<unsigned long long>(d.line),
-                   static_cast<unsigned long long>(d.store_event),
-                   static_cast<unsigned long long>(d.at_event), d.what, d.state);
-    }
-  }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-  stats::append_jsonl(std::getenv("REPRO_PSAN_OUT"), s);
-}
+Psan::Psan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers)
+    : SanitizerCore("psan", cfg, num_lines, max_workers), w_(max_workers) {}
 
 void Psan::emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,
                 uint64_t flush_event, const char* what, const char* state) {
-  const WorkerState& ws = w_[slot(worker)];
+  const WorkerState& ws = w_.of(worker);
   switch (kind) {
     case DiagKind::kMissingFlush: sum_.missing_flush++; break;
     case DiagKind::kMisorderedPersist: sum_.misordered_persist++; break;
@@ -73,10 +46,6 @@ void Psan::emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,
       break;
     case DiagKind::kUnflushedAtCrash: sum_.unflushed_at_crash++; break;
   }
-  if (diags_.size() >= kMaxStoredDiags) {
-    sum_.diags_dropped++;
-    return;
-  }
   Diag d;
   d.kind = kind;
   d.worker = worker;
@@ -88,16 +57,15 @@ void Psan::emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,
   d.at_event = event_;
   d.what = what;
   d.state = state;
-  diags_.push_back(d);
+  keep(d);
 }
 
 void Psan::on_store(int worker, uint64_t first_line, uint64_t last_line) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   if (!tracks_) return;  // eADR/PDRAM: stores are durable on their own
-  auto& up = w_[slot(worker)].unpersisted;
   for (uint64_t l = first_line; l <= last_line && l < num_lines_; l++) {
-    up[l] = event_;  // newest store wins; older ones need the same persist
+    persist_.store(worker, l, event_);
   }
 }
 
@@ -105,16 +73,11 @@ void Psan::on_clwb(int worker, uint64_t line) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   if (!tracks_) return;
-  WorkerState& ws = w_[slot(worker)];
 
   // Redundant iff the line carries no store (from any worker) newer than
   // its latest capture: flushing clean data, or re-flushing an
   // already-captured line before anyone stored to it again.
-  uint64_t newest_store = 0;
-  for (const auto& o : w_) {
-    auto it = o.unpersisted.find(line);
-    if (it != o.unpersisted.end()) newest_store = std::max(newest_store, it->second);
-  }
+  const uint64_t newest_store = persist_.newest_store(line);
   const auto cap = captured_.find(line);
   const uint64_t captured_at = cap == captured_.end() ? 0 : cap->second;
   if (newest_store == 0 || captured_at >= newest_store) {
@@ -125,39 +88,29 @@ void Psan::on_clwb(int worker, uint64_t line) {
   }
 
   captured_[line] = event_;
-  ws.pending.emplace_back(line, event_);
+  persist_.clwb(worker, line, event_);
 }
 
 void Psan::on_sfence(int worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   if (!tracks_) return;
-  WorkerState& ws = w_[slot(worker)];
-  if (ws.pending.empty()) {
+  const bool retired = persist_.sfence(worker, [&](uint64_t line, uint64_t cap_event) {
+    auto c = captured_.find(line);
+    if (c != captured_.end() && c->second <= cap_event) captured_.erase(c);
+  });
+  if (!retired) {
     emit(DiagKind::kRedundantFence, worker, 0, 0, 0,
          "sfence with no clwb outstanding since the previous fence",
          "nothing pending");
-    return;
   }
-  for (const auto& [line, cap_event] : ws.pending) {
-    for (auto& o : w_) {
-      auto it = o.unpersisted.find(line);
-      if (it != o.unpersisted.end() && it->second <= cap_event) {
-        o.unpersisted.erase(it);
-      }
-    }
-    auto c = captured_.find(line);
-    if (c != captured_.end() && c->second <= cap_event) captured_.erase(c);
-  }
-  ws.pending.clear();
 }
 
 void Psan::on_power_failure() {
   std::lock_guard<std::mutex> g(mu_);
   crash_unflushed_.clear();
-  for (size_t wi = 0; wi < w_.size(); wi++) {
-    WorkerState& ws = w_[wi];
-    for (const auto& [line, store_event] : ws.unpersisted) {
+  for (size_t wi = 0; wi < persist_.slots(); wi++) {
+    for (const auto& [line, store_event] : persist_.unpersisted_at(wi)) {
       const auto cap = captured_.find(line);
       if (cap != captured_.end() && cap->second >= store_event) {
         // Flushed but its fence never executed: the crash image decides
@@ -169,9 +122,8 @@ void Psan::on_power_failure() {
         crash_unflushed_.push_back(line);
       }
     }
-    ws.unpersisted.clear();
-    ws.pending.clear();
   }
+  persist_.clear();
   captured_.clear();
   std::sort(crash_unflushed_.begin(), crash_unflushed_.end());
   crash_unflushed_.erase(
@@ -181,35 +133,32 @@ void Psan::on_power_failure() {
 
 void Psan::on_checkpoint() {
   std::lock_guard<std::mutex> g(mu_);
-  for (auto& ws : w_) {
-    ws.unpersisted.clear();
-    ws.pending.clear();
-  }
+  persist_.clear();
   captured_.clear();
 }
 
 void Psan::on_tx_begin(int worker) {
   std::lock_guard<std::mutex> g(mu_);
-  WorkerState& ws = w_[slot(worker)];
+  WorkerState& ws = w_.of(worker);
   if (!ws.in_tx) ws.tx_id++;  // each attempt gets its own ordinal
   ws.in_tx = true;
 }
 
 void Psan::on_tx_end(int worker) {
   std::lock_guard<std::mutex> g(mu_);
-  WorkerState& ws = w_[slot(worker)];
+  WorkerState& ws = w_.of(worker);
   ws.in_tx = false;
   ws.phase = stats::Phase::kBegin;
 }
 
 void Psan::set_phase(int worker, stats::Phase p) {
   std::lock_guard<std::mutex> g(mu_);
-  w_[slot(worker)].phase = p;
+  w_.of(worker).phase = p;
 }
 
 stats::Phase Psan::phase(int worker) const {
   std::lock_guard<std::mutex> g(mu_);
-  return w_[slot(worker)].phase;
+  return w_.of(worker).phase;
 }
 
 void Psan::check_persisted(int worker, uint64_t first_line, uint64_t last_line,
@@ -219,37 +168,20 @@ void Psan::check_persisted(int worker, uint64_t first_line, uint64_t last_line,
     sum_.checks += last_line - first_line + 1;
     return;  // trivially persisted in eADR/PDRAM domains
   }
-  const auto& up = w_[slot(worker)].unpersisted;
   for (uint64_t l = first_line; l <= last_line; l++) {
     sum_.checks++;
-    auto it = up.find(l);
-    if (it == up.end()) continue;
+    const uint64_t store_event = persist_.unpersisted(worker, l);
+    if (store_event == 0) continue;
     const auto cap = captured_.find(l);
-    const bool flushed = cap != captured_.end() && cap->second >= it->second;
-    emit(kind, worker, l, it->second, flushed ? cap->second : 0, what,
+    const bool flushed = cap != captured_.end() && cap->second >= store_event;
+    emit(kind, worker, l, store_event, flushed ? cap->second : 0, what,
          flushed ? "flushed but not fenced" : "dirty (never flushed)");
   }
-}
-
-stats::PsanSummary Psan::summary() const {
-  std::lock_guard<std::mutex> g(mu_);
-  stats::PsanSummary s = sum_;
-  s.events = event_;
-  return s;
 }
 
 std::vector<uint64_t> Psan::crash_unflushed_lines() const {
   std::lock_guard<std::mutex> g(mu_);
   return crash_unflushed_;
-}
-
-std::vector<Diag> Psan::drain() {
-  std::lock_guard<std::mutex> g(mu_);
-  std::vector<Diag> out;
-  out.swap(diags_);
-  sum_ = stats::PsanSummary{};
-  sum_.enabled = true;
-  return out;
 }
 
 }  // namespace analysis

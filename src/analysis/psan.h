@@ -28,9 +28,10 @@
 // under undo, write-back under redo, log retire) through
 // Memory::psan_check_persisted; each violated point yields one typed
 // diagnostic per offending line. Everything is attributed to the owning
-// worker/transaction and the PR 1 phase taxonomy, carries the store/flush
+// worker/transaction and the phase taxonomy, carries the store/flush
 // event indices for replay, and aggregates into stats::PsanSummary for
-// REPRO_JSON ("psan" key) and the scripts/check_gates.py CI gate.
+// REPRO_JSON ("psan" key). A correctness diagnostic fails the crash trial
+// or the pool that produced it (analysis/core.h).
 //
 // Enabled by nvm::SystemConfig::psan (nvm::Pool sets it from REPRO_PSAN);
 // when off, nvm::Memory carries only a null-pointer test per access and
@@ -38,10 +39,11 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/core.h"
 #include "nvm/domain.h"
 #include "stats/counters.h"
 #include "stats/histogram.h"
@@ -91,17 +93,18 @@ struct Diag {
   uint64_t at_event = 0;       // event index when the diagnostic fired
   const char* what = "";       // ordering point / reason (static string)
   const char* state = "";      // line state when it fired (static string)
+
+  bool correctness() const {
+    return kind == DiagKind::kMissingFlush || kind == DiagKind::kMisorderedPersist;
+  }
+  /// "<kind> worker=W tx=T line=L store_event=S at_event=A: <what> [<state>]"
+  std::string describe() const;
 };
 
-class Psan {
+/// summary(), drain(), verdict() and the teardown come from the core.
+class Psan : public SanitizerCore<Diag, stats::PsanSummary> {
  public:
-  /// Stored-diagnostic ring bound; counts in the summary are never capped.
-  static constexpr size_t kMaxStoredDiags = 1024;
-
   Psan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers);
-  /// Pool teardown: prints undrained correctness diagnostics to stderr and
-  /// appends the summary to the REPRO_PSAN_OUT JSONL stream, if set.
-  ~Psan();
 
   // ----- event hooks (driven by nvm::Memory) ---------------------------
 
@@ -112,7 +115,7 @@ class Psan {
   /// (Table III's deliberately-incorrect measurement variant) the model
   /// drops the fence but the algorithm still ordered correctly, so the
   /// fence retires flushes here all the same — the variant must stay
-  /// runnable without tripping the CI gate.
+  /// runnable without failing the verdict.
   void on_sfence(int worker);
   /// Power failure: classify every outstanding store (never-flushed vs
   /// flushed-but-unfenced), emit kUnflushedAtCrash for the former, then
@@ -137,23 +140,12 @@ class Psan {
 
   // ----- reporting ------------------------------------------------------
 
-  stats::PsanSummary summary() const;
-
   /// Lines flagged kUnflushedAtCrash at the most recent power failure
   /// (the CrashHarness exposes these next to the oracle verdict).
   std::vector<uint64_t> crash_unflushed_lines() const;
 
-  /// Return all stored diagnostics and reset both the store and the
-  /// summary counters — seeded-bug tests consume their expected
-  /// diagnostics so teardown reporting only sees what leaked.
-  std::vector<Diag> drain();
-
  private:
   struct WorkerState {
-    // line -> event index of this worker's latest unpersisted store.
-    std::unordered_map<uint64_t, uint64_t> unpersisted;
-    // clwb'd lines awaiting this worker's sfence: (line, capture event).
-    std::vector<std::pair<uint64_t, uint64_t>> pending;
     uint64_t tx_id = 0;
     bool in_tx = false;
     stats::Phase phase = stats::Phase::kBegin;
@@ -162,26 +154,10 @@ class Psan {
   void emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,
             uint64_t flush_event, const char* what, const char* state);
 
-  // Worker id -> state slot; ids outside [0, max_workers) share the spare
-  // last slot (setup/recovery contexts without a real worker).
-  size_t slot(int worker) const {
-    const size_t n = w_.size();
-    return (worker >= 0 && static_cast<size_t>(worker) < n - 1)
-               ? static_cast<size_t>(worker)
-               : n - 1;
-  }
-
-  const bool tracks_;        // domain issues real flushes (ADR)
-  const uint64_t num_lines_;
-
-  mutable std::mutex mu_;
-  uint64_t event_ = 0;
-  std::vector<WorkerState> w_;
+  util::WorkerSlots<WorkerState> w_;
   // line -> latest clwb capture event (erased once fence-retired).
   std::unordered_map<uint64_t, uint64_t> captured_;
-  std::vector<Diag> diags_;
   std::vector<uint64_t> crash_unflushed_;
-  stats::PsanSummary sum_;
 };
 
 /// RAII phase attribution: sets the worker's psan phase on entry, restores

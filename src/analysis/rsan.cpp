@@ -7,7 +7,6 @@
 #include <execinfo.h>
 #endif
 
-#include "stats/report.h"
 #include "util/env.h"
 
 namespace analysis {
@@ -40,46 +39,23 @@ void trace(uint64_t event, const char* op, int worker, const void* key) {
 
 }  // namespace
 
+std::string RsanDiag::describe() const {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf), "%s worker=%d other=%d addr=0x%llx line=%llu event=%llu: %s",
+                rsan_kind_name(kind), worker, other, static_cast<unsigned long long>(addr),
+                static_cast<unsigned long long>(line), static_cast<unsigned long long>(event),
+                what);
+  return buf;
+}
+
 Rsan::Rsan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers)
-    : tracks_(cfg.needs_flushes()), num_lines_(num_lines) {
-  // +1: Memory passes worker -1 (setup / recovery outside an ExecContext)
-  // which maps onto the last state slot.
-  w_.resize(static_cast<size_t>(max_workers) + 1);
+    : SanitizerCore("rsan", cfg, num_lines, max_workers), w_(max_workers) {
   for (size_t s = 0; s < w_.size(); s++) {
     w_[s].vc.assign(w_.size(), 0);
     // A worker's own component starts at 1 so a store by a worker nobody
     // has synchronized with is strictly newer than everyone's zero view.
     w_[s].vc[s] = 1;
   }
-  sum_.enabled = true;
-}
-
-Rsan::~Rsan() {
-  const stats::RsanSummary s = summary();
-  // Same discipline as psan: undrained correctness findings are loud so
-  // a race surfaces even when the tripping test never looks at rsan.
-  if (s.correctness() > 0) {
-    std::fprintf(stderr,
-                 "rsan: %llu race/isolation violation(s) at pool teardown "
-                 "(write_write_race=%llu read_write_race=%llu "
-                 "orec_coverage=%llu early_release=%llu)\n",
-                 static_cast<unsigned long long>(s.correctness()),
-                 static_cast<unsigned long long>(s.write_write_race),
-                 static_cast<unsigned long long>(s.read_write_race),
-                 static_cast<unsigned long long>(s.orec_coverage),
-                 static_cast<unsigned long long>(s.early_release));
-    for (const RsanDiag& d : drain()) {
-      std::fprintf(stderr,
-                   "rsan:   %s worker=%d other=%d addr=0x%llx line=%llu "
-                   "event=%llu: %s\n",
-                   rsan_kind_name(d.kind), d.worker, d.other,
-                   static_cast<unsigned long long>(d.addr),
-                   static_cast<unsigned long long>(d.line),
-                   static_cast<unsigned long long>(d.event), d.what);
-    }
-  }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-once env probe; nothing in-process calls setenv
-  stats::append_jsonl(std::getenv("REPRO_RSAN_OUT"), s);
 }
 
 void Rsan::emit(RsanKind kind, int worker, int other, uint64_t addr,
@@ -91,10 +67,6 @@ void Rsan::emit(RsanKind kind, int worker, int other, uint64_t addr,
     case RsanKind::kOrecCoverage: sum_.orec_coverage++; break;
     case RsanKind::kEarlyRelease: sum_.early_release++; break;
   }
-  if (diags_.size() >= kMaxStoredDiags) {
-    sum_.diags_dropped++;
-    return;
-  }
   RsanDiag d;
   d.kind = kind;
   d.worker = worker;
@@ -103,15 +75,12 @@ void Rsan::emit(RsanKind kind, int worker, int other, uint64_t addr,
   d.line = line;
   d.event = event_;
   d.what = what;
-  diags_.push_back(d);
+  if (!keep(d)) return;
   // Debug aid: REPRO_RSAN_ABORT=1 turns the first diagnostic into an abort
   // so a debugger catches the racing access with its full stack.
   static const bool abort_on_diag = util::env_on("REPRO_RSAN_ABORT");
   if (abort_on_diag) {
-    std::fprintf(stderr, "rsan: aborting on %s worker=%d other=%d addr=0x%llx line=%llu: %s\n",
-                 rsan_kind_name(kind), worker, other,
-                 static_cast<unsigned long long>(addr),
-                 static_cast<unsigned long long>(line), what);
+    std::fprintf(stderr, "rsan: aborting on %s\n", d.describe().c_str());
 #ifdef __GLIBC__
     void* frames[48];
     const int depth = backtrace(frames, 48);
@@ -144,12 +113,12 @@ void Rsan::release_to_sync(WorkerState& ws, size_t s, uintptr_t key) {
 
 void Rsan::adjust_read_depth(int worker, int d) {
   std::lock_guard<std::mutex> g(mu_);
-  w_[slot(worker)].read_depth += d;
+  w_.of(worker).read_depth += d;
 }
 
 void Rsan::adjust_uncovered_depth(int worker, int d) {
   std::lock_guard<std::mutex> g(mu_);
-  w_[slot(worker)].uncovered_depth += d;
+  w_.of(worker).uncovered_depth += d;
 }
 
 void Rsan::set_orec_resolver(OrecResolver r) {
@@ -162,7 +131,7 @@ void Rsan::on_load(int worker, uint64_t addr, size_t n, uint64_t first_line,
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, log_space ? "load-log" : "load", worker, reinterpret_cast<const void*>(addr));
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   if (!ws.in_tx) return;  // out-of-transaction accesses are invisible
   sum_.loads++;
@@ -210,7 +179,7 @@ void Rsan::on_store(int worker, uint64_t addr, size_t n, uint64_t first_line,
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, log_space ? "store-log" : "store", worker, reinterpret_cast<const void*>(addr));
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   if (!ws.in_tx) return;  // out-of-transaction accesses are invisible
   sum_.stores++;
@@ -237,7 +206,7 @@ void Rsan::on_store(int worker, uint64_t addr, size_t n, uint64_t first_line,
   }
   if (tracks_) {
     for (uint64_t l = first_line; l <= last_line && l < num_lines_; l++) {
-      ws.unpersisted[l] = event_;
+      persist_.store(worker, l, event_);
     }
   }
 
@@ -272,25 +241,14 @@ void Rsan::on_clwb(int worker, uint64_t line) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   if (!tracks_) return;
-  w_[slot(worker)].pending.emplace_back(line, event_);
+  persist_.clwb(worker, line, event_);
 }
 
 void Rsan::on_sfence(int worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   if (!tracks_) return;
-  WorkerState& ws = w_[slot(worker)];
-  // Retire from EVERY worker's in-flight map: an epoch leader's fence
-  // durably retires the members' stores it flushed on its own WPQ.
-  for (const auto& [line, cap_event] : ws.pending) {
-    for (auto& o : w_) {
-      auto it = o.unpersisted.find(line);
-      if (it != o.unpersisted.end() && it->second <= cap_event) {
-        o.unpersisted.erase(it);
-      }
-    }
-  }
-  ws.pending.clear();
+  persist_.sfence(worker, [](uint64_t, uint64_t) {});
 }
 
 void Rsan::on_crash_freeze() {
@@ -318,25 +276,21 @@ void Rsan::on_power_failure() {
     ws.owned.clear();
     ws.validated.clear();
     ws.orec_lines.clear();
-    ws.unpersisted.clear();
-    ws.pending.clear();
   }
+  persist_.clear();
 }
 
 void Rsan::on_checkpoint() {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  for (auto& ws : w_) {
-    ws.unpersisted.clear();
-    ws.pending.clear();
-  }
+  persist_.clear();
 }
 
 void Rsan::on_tx_begin(int worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, "tx_begin", worker, nullptr);
-  WorkerState& ws = w_[slot(worker)];
+  WorkerState& ws = w_.of(worker);
   ws.in_tx = true;
   ws.owned.clear();
   ws.validated.clear();
@@ -347,7 +301,7 @@ void Rsan::on_tx_end(int worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, "tx_end", worker, nullptr);
-  WorkerState& ws = w_[slot(worker)];
+  WorkerState& ws = w_.of(worker);
   ws.in_tx = false;
   ws.read_depth = 0;
   ws.uncovered_depth = 0;
@@ -361,7 +315,7 @@ void Rsan::on_orec_acquire(int worker, const void* orec) {
   event_++;
   trace(event_, "acquire", worker, orec);
   sum_.acquires++;
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   join_from_sync(ws, reinterpret_cast<uintptr_t>(orec));
   ws.owned.insert(reinterpret_cast<uintptr_t>(orec));
@@ -372,14 +326,14 @@ void Rsan::on_orec_release(int worker, const void* orec) {
   event_++;
   trace(event_, "release", worker, orec);
   sum_.releases++;
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   const auto key = reinterpret_cast<uintptr_t>(orec);
   if (tracks_) {
     auto it = ws.orec_lines.find(key);
     if (it != ws.orec_lines.end()) {
       for (uint64_t line : it->second) {
-        if (ws.unpersisted.count(line) != 0) {
+        if (persist_.unpersisted(worker, line) != 0) {
           emit(RsanKind::kEarlyRelease, worker, -1, 0, line,
                "orec released while a line stored under it still has in-flight stores");
         }
@@ -397,7 +351,7 @@ void Rsan::on_validated_read(int worker, const void* orec) {
   event_++;
   trace(event_, "vread", worker, orec);
   sum_.validated_reads++;
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   join_from_sync(ws, reinterpret_cast<uintptr_t>(orec));
   ws.validated.insert(reinterpret_cast<uintptr_t>(orec));
@@ -407,7 +361,7 @@ void Rsan::on_atomic_rmw(int worker, const void* addr) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, "rmw", worker, addr);
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   const auto key = reinterpret_cast<uintptr_t>(addr);
   atomic_words_.insert(static_cast<uint64_t>(key) >> 3);
@@ -419,7 +373,7 @@ void Rsan::on_publish(int worker, const void* obj) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, "publish", worker, obj);
-  const size_t s = slot(worker);
+  const size_t s = w_.slot(worker);
   release_to_sync(w_[s], s, reinterpret_cast<uintptr_t>(obj));
 }
 
@@ -427,7 +381,7 @@ void Rsan::on_join(int worker, const void* obj) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
   trace(event_, "join", worker, obj);
-  join_from_sync(w_[slot(worker)], reinterpret_cast<uintptr_t>(obj));
+  join_from_sync(w_.of(worker), reinterpret_cast<uintptr_t>(obj));
 }
 
 void Rsan::on_inherit(int to_worker, int from_worker) {
@@ -435,8 +389,8 @@ void Rsan::on_inherit(int to_worker, int from_worker) {
   event_++;
   trace(event_, "inherit", to_worker, reinterpret_cast<const void*>(static_cast<uintptr_t>(from_worker)));
   sum_.inherits++;
-  const size_t to = slot(to_worker);
-  const size_t from = slot(from_worker);
+  const size_t to = w_.slot(to_worker);
+  const size_t from = w_.slot(from_worker);
   if (to == from) return;
   WorkerState& wt = w_[to];
   WorkerState& wf = w_[from];
@@ -466,22 +420,6 @@ void Rsan::on_global_sync() {
     }
   }
   for (WorkerState& ws : w_) ws.vc = all;
-}
-
-stats::RsanSummary Rsan::summary() const {
-  std::lock_guard<std::mutex> g(mu_);
-  stats::RsanSummary s = sum_;
-  s.events = event_;
-  return s;
-}
-
-std::vector<RsanDiag> Rsan::drain() {
-  std::lock_guard<std::mutex> g(mu_);
-  std::vector<RsanDiag> out;
-  out.swap(diags_);
-  sum_ = stats::RsanSummary{};
-  sum_.enabled = true;
-  return out;
 }
 
 }  // namespace analysis

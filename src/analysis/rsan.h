@@ -47,25 +47,26 @@
 // Pure observation: hooks never advance simulated time, and when off
 // (default) nvm::Memory carries one null-pointer test per hooked access —
 // default bench output stays byte-identical. Enabled by
-// nvm::SystemConfig::rsan (nvm::Pool sets it from REPRO_RSAN);
-// REPRO_RSAN_OUT appends one JSONL summary per pool teardown. See
-// docs/ANALYSIS.md.
+// nvm::SystemConfig::rsan (nvm::Pool sets it from REPRO_RSAN). Every
+// diagnostic fails the crash trial or the pool that produced it
+// (analysis/core.h). See docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/core.h"
 #include "nvm/domain.h"
 #include "stats/counters.h"
 
 namespace analysis {
 
 /// Diagnostic catalog (docs/ANALYSIS.md has the full semantics). All four
-/// kinds are correctness-gated: any nonzero count fails check_gates.py.
+/// kinds are correctness diagnostics.
 enum class RsanKind : uint8_t {
   /// Two transactional stores to the same word with no happens-before
   /// path between them (e.g. an epoch leader writing a member's line
@@ -97,17 +98,17 @@ struct RsanDiag {
   uint64_t line = 0;   // pool cache-line index (64 B granularity)
   uint64_t event = 0;  // event index when the diagnostic fired
   const char* what = "";  // site / reason (static string)
+
+  bool correctness() const { return true; }
+  /// "<kind> worker=W other=O addr=0xA line=L event=E: <what>"
+  std::string describe() const;
 };
 
-class Rsan {
+/// summary(), drain(), verdict() and the teardown come from the core,
+/// whose persist tracker sees in-transaction data stores only.
+class Rsan : public SanitizerCore<RsanDiag, stats::RsanSummary> {
  public:
-  /// Stored-diagnostic ring bound; counts in the summary are never capped.
-  static constexpr size_t kMaxStoredDiags = 1024;
-
   Rsan(const nvm::SystemConfig& cfg, uint64_t num_lines, int max_workers);
-  /// Pool teardown: prints undrained diagnostics to stderr and appends the
-  /// summary to the REPRO_RSAN_OUT JSONL stream, if set.
-  ~Rsan();
 
   // ----- memory hooks (driven by nvm::Memory) --------------------------
 
@@ -182,15 +183,6 @@ class Rsan {
   using OrecResolver = std::function<const void*(const void*)>;
   void set_orec_resolver(OrecResolver r);
 
-  // ----- reporting ------------------------------------------------------
-
-  stats::RsanSummary summary() const;
-
-  /// Return all stored diagnostics and reset the summary counters —
-  /// seeded-bug tests consume their expected diagnostics so teardown
-  /// reporting only sees what leaked.
-  std::vector<RsanDiag> drain();
-
   // ----- RAII brackets (null-safe; call sites need no rsan check) ------
 
   /// Marks the worker as inside an orec-mediated read path: its loads
@@ -263,10 +255,6 @@ class Rsan {
     std::unordered_set<uintptr_t> validated;  // orecs validated this tx
     // orec -> data lines stored under it this tx (early-release lint).
     std::unordered_map<uintptr_t, std::vector<uint64_t>> orec_lines;
-    // line -> event of this worker's latest in-flight store.
-    std::unordered_map<uint64_t, uint64_t> unpersisted;
-    // clwb'd lines awaiting this worker's sfence: (line, capture event).
-    std::vector<std::pair<uint64_t, uint64_t>> pending;
   };
 
   void adjust_read_depth(int worker, int d);
@@ -277,22 +265,8 @@ class Rsan {
   void join_from_sync(WorkerState& ws, uintptr_t key);
   void release_to_sync(WorkerState& ws, size_t s, uintptr_t key);
 
-  // Worker id -> state slot; ids outside [0, max_workers) share the spare
-  // last slot (setup/recovery contexts without a real worker).
-  size_t slot(int worker) const {
-    const size_t n = w_.size();
-    return (worker >= 0 && static_cast<size_t>(worker) < n - 1)
-               ? static_cast<size_t>(worker)
-               : n - 1;
-  }
-
-  const bool tracks_;  // domain issues real flushes (ADR): release lint on
-  const uint64_t num_lines_;
-
-  mutable std::mutex mu_;
-  uint64_t event_ = 0;
   bool crash_frozen_ = false;  // pool froze: unwinding must not diagnose
-  std::vector<WorkerState> w_;
+  util::WorkerSlots<WorkerState> w_;
   OrecResolver resolver_;
   // word key (addr >> 3) -> last-write epoch.
   std::unordered_map<uint64_t, WriteEpoch> last_write_;
@@ -307,8 +281,6 @@ class Rsan {
   // instead of needing one, so the race check skips it — same model TSan
   // applies to std::atomic.
   std::unordered_set<uint64_t> atomic_words_;
-  std::vector<RsanDiag> diags_;
-  stats::RsanSummary sum_;
 };
 
 }  // namespace analysis

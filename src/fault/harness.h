@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "analysis/psan.h"
+#include "analysis/rsan.h"
 #include "fault/oracle.h"
 #include "nvm/pool.h"
 #include "ptm/runtime.h"
@@ -60,7 +61,8 @@ struct Expect {
   bool oracle = true;  // false for workloads that dealloc: the allocator
                        // threads free-list links through freed words outside
                        // the Tx write path, which the byte-exact oracle flags
-  bool media = false;  // a media fault was injected: the report may show it
+  bool media = false;  // a media fault was injected: the report may show it,
+                       // and an unmirrored pool loses records (no oracle)
 };
 
 /// One trial step's outcome.
@@ -188,10 +190,16 @@ class CrashHarness {
   }
 
   /// Recover into `report`, then judge: the first failed check becomes
-  /// t.failure unless the online pass already failed the trial.
+  /// t.failure unless the online pass already failed the trial. psan's
+  /// verdict comes first, then rsan's (SanitizerCore::verdict), then the
+  /// recovery checks; both sanitizers are drained either way, so no
+  /// finding outlives its trial.
   void recover(Trial& t, const Expect& e = {}) {
     report = rt.recover(ctx);
-    if (t.ok()) t.failure = verdict(e);
+    const nvm::Memory& mem = pool.mem();
+    const std::string p = mem.psan() != nullptr ? mem.psan()->verdict() : "";
+    const std::string r = mem.rsan() != nullptr ? mem.rsan()->verdict() : "";
+    if (t.ok()) t.failure = !p.empty() ? p : !r.empty() ? r : verdict(e);
   }
 
   /// Run `body` on `workers` concurrent DES fibers (worker ids 0 ..
@@ -251,12 +259,13 @@ class CrashHarness {
     int kills = 0;
   };
 
-  /// The one post-recovery verdict: the oracle, a clean report, and no
-  /// lost record — without media damage every record keeps its primary
-  /// copy, and a mirrored pool keeps a second copy of whatever one media
-  /// fault destroys. Empty when all hold.
+  /// The post-recovery checks: the oracle, a clean report, and no lost
+  /// record — without media damage every record keeps its primary copy,
+  /// and a mirrored pool keeps a second copy of whatever one media fault
+  /// destroys. Empty when all hold.
   std::string verdict(const Expect& e) const {
-    if (e.oracle) {
+    const bool lossy = e.media && !pool.config().log_mirror;
+    if (e.oracle && !lossy) {
       const Oracle::Result res = oracle.verify();
       if (!res.ok) return "oracle: " + res.detail + psan_note_;
     }
@@ -267,7 +276,7 @@ class CrashHarness {
       return "phantom media fault reported";
     }
     if (report.records_invalid != 0) return "CRC-valid record with out-of-bounds offset";
-    if (report.records_lost != 0) {
+    if (report.records_lost != 0 && !lossy) {
       return "recovery reported lost records on a survivable schedule";
     }
     return "";

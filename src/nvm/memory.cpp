@@ -48,8 +48,8 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
   }
 }
 
-// The sanitizers report (stderr leak summary, JSONL stream) from their own
-// destructors.
+// A sanitizer holding an undrained correctness diagnostic aborts from its
+// own destructor.
 Memory::~Memory() = default;
 
 void Memory::psan_store(sim::ExecContext& ctx, const void* addr, size_t len) {

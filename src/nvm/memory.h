@@ -192,8 +192,8 @@ class Memory {
   bool crashed() const { return frozen_.load(std::memory_order_acquire); }
 
   /// Persistence events executed so far (crash_sim only; 0 otherwise).
-  /// Crash sweeps use this to measure a scenario's event count in a dry
-  /// run, then arm_crash_after(k) for every k in [1, count].
+  /// fault::strike reads it around a body to report the body's event
+  /// count; arm_crash_after and arm_thread_fault count the same events.
   uint64_t persistence_events() const {
     return event_count_.load(std::memory_order_relaxed);
   }
@@ -524,7 +524,7 @@ class Memory {
   std::unordered_map<uint64_t, uint64_t> line_applied_seq_;
 
   // rsan_ before psan_: members are destroyed in reverse order, so psan's
-  // teardown report prints first.
+  // teardown verdict comes first.
   std::unique_ptr<analysis::Rsan> rsan_;
   std::unique_ptr<analysis::Psan> psan_;
   std::unique_ptr<stats::DevStats> devstats_;

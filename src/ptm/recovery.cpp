@@ -31,7 +31,7 @@
 // then clears the media fault — crash-idempotent), and counts it in
 // records_repaired. Damage with no usable copy left is
 // records_lost: the affected heap lines are quarantined in the allocator
-// and the loss is surfaced through Runtime::degraded(). Everything
+// and recover() surfaces the loss through Runtime::degraded(). Everything
 // recovery applied, repaired, or refused is tallied in the returned
 // stats::RecoveryReport.
 #include <algorithm>
@@ -52,7 +52,6 @@ enum class Verdict : uint8_t { kOk, kStale, kTorn, kMedia, kInvalid };
 stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
   // All speculation state is volatile and died with the crash.
   orecs_.reset();
-  degraded_ = stats::DegradedReport{};
   // The epoch queue is volatile too: every published-but-unacked member
   // died with its fiber, and its slot's persistent image alone decides its
   // fate below — exactly the per-transaction crash cases, so the replay
@@ -74,9 +73,11 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
   // Recovery is not part of measured runs: no counters.
   for (int w = 0; w < pool_.config().max_workers; w++) resolve_slot(w, ctx, nullptr, rep);
 
-  degraded_.degraded = degraded_.lost_records > 0 || degraded_.lost_txs > 0;
-  degraded_.quarantined_bytes = alloc_.quarantined_bytes();
-  degraded_.quarantined_blocks = alloc_.quarantined_blocks();
+  degraded_ = {.degraded = rep.slots_lost > 0,
+               .lost_records = rep.records_lost,
+               .lost_txs = rep.slots_lost,
+               .quarantined_bytes = alloc_.quarantined_bytes(),
+               .quarantined_blocks = alloc_.quarantined_blocks()};
   return rep;
 }
 
@@ -263,7 +264,6 @@ void Runtime::resolve_slot(int w, sim::ExecContext& ctx, stats::TxCounters* c,
       }
       if (lost) {
         rep.records_lost++;
-        degraded_.lost_records++;
         slot_lost = true;
         // Best-effort quarantine of the record's home line, from
         // whichever copy still names a plausible heap target: the word
@@ -373,7 +373,7 @@ void Runtime::resolve_slot(int w, sim::ExecContext& ctx, stats::TxCounters* c,
   // Every record sharing a repaired line has been screened by now; the
   // line's bytes are fully reconstructed, so the media fault retires.
   for (const uint64_t line : repaired_lines) mem.repair_media_fault(line);
-  if (slot_lost) degraded_.lost_txs++;
+  if (slot_lost) rep.slots_lost++;
 
   // Quiesce the slot past its live epoch, so every record left in it
   // reads as stale, resealing both copies so the next recovery's header

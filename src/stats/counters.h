@@ -112,6 +112,7 @@ struct RecoveryReport {
   uint64_t records_repaired = 0;  // primary rewritten in place from its mirror
   uint64_t records_lost = 0;      // both copies unusable (or no mirror existed)
   bool mirror_enabled = false;    // SystemConfig::log_mirror at recovery time
+  uint64_t slots_lost = 0;        // slots with a lost record or header (not serialized)
 
   /// Records recovery refused to apply for any reason other than a stale
   /// tag (stale tags are ordinary leftovers, not damage).

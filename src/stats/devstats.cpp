@@ -14,10 +14,7 @@ const char* channel_name(size_t i) {
   }
 }
 
-DevStats::DevStats(int max_workers)
-    // +1: Memory hooks can run outside any worker (setup/recovery contexts
-    // report high ids); they map onto the last slot, mirroring Psan.
-    : workers_(static_cast<size_t>(max_workers) + 1) {}
+DevStats::DevStats(int max_workers) : workers_(max_workers) {}
 
 void DevStats::account_eviction(const XpEntry& e) {
   c_.xpline_writes++;
@@ -90,15 +87,15 @@ void DevStats::on_media_read(int media, uint64_t line, uint64_t now_ns) {
 void DevStats::on_wpq_enqueue(int w, uint64_t occupancy, uint64_t drain_ns) {
   c_.wpq_enqueues++;
   if (occupancy > c_.wpq_peak_occupancy) c_.wpq_peak_occupancy = occupancy;
-  PerWorker& pw = worker(w);
+  PerWorker& pw = workers_.of(w);
   pw.occupancy.record(occupancy);
   pw.drain_ns.record(drain_ns);
   pw.enqueues++;
 }
 
-void DevStats::on_wpq_stall(int w, uint64_t ns) { worker(w).wpq_stall_ns.record(ns); }
+void DevStats::on_wpq_stall(int w, uint64_t ns) { workers_.of(w).wpq_stall_ns.record(ns); }
 
-void DevStats::on_fence_stall(int w, uint64_t ns) { worker(w).fence_stall_ns.record(ns); }
+void DevStats::on_fence_stall(int w, uint64_t ns) { workers_.of(w).fence_stall_ns.record(ns); }
 
 void DevStats::emit_counters(Trace& trace, uint64_t now_ns, uint64_t wpq_occupancy,
                              const std::array<uint64_t, kNumChannels>& chan_busy_ns) {

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "stats/histogram.h"
+#include "util/worker_slots.h"
 
 namespace stats {
 
@@ -226,17 +227,10 @@ class DevStats {
   // Retire every entry whose residency window has expired at `now_ns`.
   void drain(uint64_t now_ns);
 
-  PerWorker& worker(int w) {
-    const size_t i = w >= 0 && static_cast<size_t>(w) < workers_.size()
-                         ? static_cast<size_t>(w)
-                         : workers_.size() - 1;
-    return workers_[i];
-  }
-
   DeviceCounters c_;  // running totals (buffer contents not yet included)
   std::array<XpEntry, kXpBufferEntries> buf_{};
   uint64_t lru_clock_ = 0;
-  std::vector<PerWorker> workers_;
+  util::WorkerSlots<PerWorker> workers_;
 
   // Sampler state.
   uint64_t next_sample_ns_ = kDefaultSampleIntervalNs;

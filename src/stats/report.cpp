@@ -1,8 +1,5 @@
 #include "stats/report.h"
 
-#include <cstdio>
-#include <sstream>
-#include <string>
 #include <string_view>
 
 namespace stats {
@@ -37,9 +34,7 @@ void write_histogram_summary(JsonWriter& w, const Histogram& h) {
 
 namespace {
 
-// One writer per opt-in summary: the section body (the caller owns the
-// braces). The REPRO_JSON section and the REPRO_{P,R}SAN_OUT JSONL record
-// both go through these, so the two forms cannot drift apart.
+// One writer per opt-in summary: the section body (the caller owns the braces).
 
 void write_fields(JsonWriter& w, const ScrubStats& sc) {
   w.kv("passes", sc.passes);
@@ -123,25 +118,6 @@ void write_section(JsonWriter& w, std::string_view name, const Summary& s) {
   w.key(name).begin_object();
   write_fields(w, s);
   w.end_object();
-}
-
-template <typename Summary>
-void append_record(const char* path, const Summary& s) {
-  if (path == nullptr) return;
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("enabled", s.enabled);
-  write_fields(w, s);
-  w.end_object();
-  os << '\n';
-  // One fwrite of the whole line: concurrent test processes appending to
-  // the same stream interleave whole records, not fragments.
-  if (std::FILE* f = std::fopen(path, "a")) {
-    const std::string line = os.str();
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fclose(f);
-  }
 }
 
 }  // namespace
@@ -231,10 +207,6 @@ void write_run_result_fields(JsonWriter& w, const RunResult& r) {
     w.end_object();
   }
 }
-
-void append_jsonl(const char* path, const PsanSummary& s) { append_record(path, s); }
-
-void append_jsonl(const char* path, const RsanSummary& s) { append_record(path, s); }
 
 void write_device_fields(JsonWriter& w, const DeviceCounters& d, double dynamic_pj) {
   w.kv("enabled", d.enabled);

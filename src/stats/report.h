@@ -74,12 +74,6 @@ void write_run_result_fields(JsonWriter& w, const RunResult& r);
 /// {count,sum_ns,mean_ns,p50_ns,p90_ns,p99_ns,max_ns} for one histogram.
 void write_histogram_summary(JsonWriter& w, const Histogram& h);
 
-/// Append one sanitizer summary to the JSONL file at `path` (the
-/// REPRO_{P,R}SAN_OUT streams) as {"enabled":true, <the fields of its
-/// REPRO_JSON section>}. No-op when `path` is null or cannot be opened.
-void append_jsonl(const char* path, const PsanSummary& s);
-void append_jsonl(const char* path, const RsanSummary& s);
-
 /// Write the "device" section body (media/XPBuffer/WPQ/stall/channel/energy
 /// counters; docs/OBSERVABILITY.md documents the schema). `dynamic_pj` is
 /// the run's accumulated TxCounters::energy_pj. The caller owns the object

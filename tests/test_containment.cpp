@@ -143,7 +143,8 @@ TEST(Containment, DisabledByDefaultIsNullManager) {
 // locked orecs behind. Survivors must finish their full transaction
 // budget (reclaiming the victim on conflict or via the watchdog), the
 // victim must be resolved all-or-nothing online, and psan must stay
-// clean through the on-behalf surgery. The kill event is searched from
+// clean through the on-behalf surgery (a psan finding fails the trial's
+// verdict). The kill event is searched from
 // the middle of the round outward so the test keeps meaning even if
 // event numbering shifts with protocol changes.
 TEST(Containment, SurvivorsProgressAfterMidRunKill) {
@@ -168,15 +169,6 @@ TEST(Containment, SurvivorsProgressAfterMidRunKill) {
       EXPECT_EQ(cs.stuck_tx_reclaimed, cs.aborts_on_behalf + cs.commits_completed);
       EXPECT_EQ(cs.reclaim_latency_ns.count(), cs.stuck_tx_reclaimed);
     }
-
-    // psan saw every store the reclaimer issued on the victim's behalf;
-    // the surgery must be as clean as a first-party commit/abort.
-    analysis::Psan* ps = h.pool.mem().psan();
-    ASSERT_NE(ps, nullptr);
-    const auto summ = ps->summary();
-    EXPECT_EQ(summ.correctness(), 0u)
-        << "kill_at=" << kill_at << ": missing_flush=" << summ.missing_flush
-        << " misordered_persist=" << summ.misordered_persist;
   }
   EXPECT_TRUE(reclaimed_somewhere)
       << "no searched kill event left a reclaimable transaction";
@@ -319,11 +311,6 @@ TEST(Containment, EpochLeaderTakeover) {
           EXPECT_TRUE(t.ok()) << ptm::algo_suffix(algo) << " kill at event " << k << ": "
                               << t.failure;
           takeovers += h.rt.containment()->snapshot().leader_takeovers;
-          const auto summ = h.pool.mem().psan()->summary();
-          EXPECT_EQ(summ.correctness(), 0u)
-              << ptm::algo_suffix(algo) << " kill at event " << k
-              << ": missing_flush=" << summ.missing_flush
-              << " misordered_persist=" << summ.misordered_persist;
           return t;
         });
     ASSERT_GT(fired, 8u);

@@ -175,6 +175,28 @@ TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
   EXPECT_EQ(root->cells[1], 7u);
 }
 
+// A slot header with no usable copy is a lost record, and degraded()
+// counts it as the report does: mirrored with both copies poisoned, and
+// unmirrored with its one copy poisoned.
+TEST(MirrorRecovery, LostHeaderIsCountedInDegraded) {
+  for (const bool mirror : {true, false}) {
+    auto cfg = mirror_cfg();
+    cfg.log_mirror = mirror;
+    nvm::Pool pool(cfg);
+    ptm::Runtime rt(pool, ptm::Algo::kOrecLazy);
+    sim::RealContext ctx(0, 4);
+    auto slot = ptm::SlotLayout::carve(pool.worker_meta(0), pool.worker_meta_bytes(), mirror);
+    for (size_t k = 0; k < slot.copies; k++) {
+      pool.mem().inject_media_fault(pool.mem().line_of(slot.header_copy(k)));
+    }
+    const auto rep = rt.recover(ctx);
+    EXPECT_EQ(rep.records_lost, 1u) << "mirror=" << mirror;
+    EXPECT_EQ(rt.degraded().lost_records, rep.records_lost) << "mirror=" << mirror;
+    EXPECT_EQ(rt.degraded().lost_txs, 1u) << "mirror=" << mirror;
+    EXPECT_TRUE(rt.degraded().degraded) << "mirror=" << mirror;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Crash-at-every-event sweeps over the repair paths themselves.
 

@@ -1,10 +1,13 @@
 // Persistency-sanitizer tests: each seeded known-bad instruction sequence
 // must produce exactly its expected diagnostic, clean runs of both
 // algorithms across all four domains must produce zero correctness
-// violations, and the REPRO_JSON "psan" key must appear exactly when the
-// sanitizer ran. docs/ANALYSIS.md documents the state machine under test.
+// violations, the REPRO_JSON "psan" key must appear exactly when the
+// sanitizer ran, and an undrained correctness diagnostic must fail its
+// crash trial or abort its pool. docs/ANALYSIS.md documents the state
+// machine under test.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/psan.h"
@@ -383,6 +386,40 @@ TEST(PsanEpochAttribution, LeaderFenceDoesNotRetireStoreAfterCapture) {
   EXPECT_EQ(diags[0].kind, DiagKind::kMissingFlush);
   EXPECT_EQ(diags[0].worker, 1);
   EXPECT_STREQ(diags[0].state, "dirty (never flushed)");
+}
+
+// ------------------------------------------------- the verdict
+//
+// A correctness diagnostic fails what produced it: the crash trial whose
+// verdict drains it, or else the pool it outlives.
+
+TEST(PsanVerdictDeathTest, UndrainedMissingFlushAbortsPoolTeardown) {
+  auto leak = [] {
+    nvm::Pool pool(psan_cfg());
+    sim::RealContext ctx{0, 8};
+    auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
+    pool.mem().store_word(ctx, nullptr, w, 42, nvm::Space::kData);
+    pool.mem().psan_check_persisted(ctx, w, 8, DiagKind::kMissingFlush,
+                                    "seeded: seal over a dirty line");
+  };
+  EXPECT_DEATH(leak(), "psan: missing_flush worker=0 .*seeded: seal over a dirty line");
+}
+
+TEST(PsanVerdict, CrashTrialFailsOnItsFinding) {
+  fault::CrashHarness h(psan_cfg(nvm::Domain::kAdr, /*crash_sim=*/true),
+                        ptm::Algo::kOrecLazy);
+  auto* w = h.pool.root<uint64_t>();
+  const fault::Trial t = h.trial({}, 1, [&] {
+    h.pool.mem().store_word(h.ctx, nullptr, w, 42, nvm::Space::kData);
+    h.pool.mem().psan_check_persisted(h.ctx, w, 8, DiagKind::kMisorderedPersist,
+                                      "seeded: store ahead of its log");
+  });
+  EXPECT_FALSE(t.ok());
+  EXPECT_NE(t.failure.find("psan: misordered_persist worker=0"), std::string::npos)
+      << t.failure;
+  EXPECT_NE(t.failure.find("seeded: store ahead of its log"), std::string::npos) << t.failure;
+  // The verdict drained it, so the harness's teardown does not abort.
+  EXPECT_EQ(h.pool.mem().psan()->summary().correctness(), 0u);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Race-sanitizer tests: each seeded known-bad synchronization sequence
 // must produce exactly its expected diagnostic, clean runs of both
 // algorithms across all four domains must report zero correctness
-// diagnostics, and the REPRO_JSON "rsan" key must appear exactly when the
-// sanitizer ran. docs/ANALYSIS.md documents the vector-clock model under
+// diagnostics, the REPRO_JSON "rsan" key must appear exactly when the
+// sanitizer ran, and an undrained diagnostic must fail its crash trial or
+// abort its pool. docs/ANALYSIS.md documents the vector-clock model under
 // test.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/rsan.h"
@@ -341,6 +343,45 @@ TEST(RsanClean, BothAlgosAllDomainsReportZeroCorrectness) {
       rs->drain();
     }
   }
+}
+
+// ------------------------------------------------- the verdict
+//
+// Every rsan diagnostic fails what produced it: the crash trial whose
+// verdict drains it, or else the pool it outlives.
+
+TEST(RsanVerdictDeathTest, UndrainedRaceAbortsPoolTeardown) {
+  auto leak = [] {
+    nvm::Pool pool(rsan_cfg());
+    Rsan* rs = pool.mem().rsan();
+    sim::RealContext c0{0, 8};
+    sim::RealContext c1{1, 8};
+    auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
+    rs->on_tx_begin(0);
+    rs->on_tx_begin(1);
+    pool.mem().store_word(c0, nullptr, w, 1, nvm::Space::kData);
+    pool.mem().store_word(c1, nullptr, w, 2, nvm::Space::kData);
+  };
+  EXPECT_DEATH(leak(), "rsan: write_write_race worker=1 other=0");
+}
+
+TEST(RsanVerdict, CrashTrialFailsOnItsFinding) {
+  auto cfg = test::crash_cfg();
+  cfg.rsan = true;
+  fault::CrashHarness h(cfg, ptm::Algo::kOrecLazy);
+  Rsan* rs = h.pool.mem().rsan();
+  auto* w = h.pool.root<uint64_t>();
+  const fault::Trial t = h.trial({}, 1, [&] {
+    // A transactional store under no orec (the runtime installed the
+    // coverage resolver).
+    rs->on_tx_begin(0);
+    h.pool.mem().store_word(h.ctx, nullptr, w, 42, nvm::Space::kData);
+    rs->on_tx_end(0);
+  });
+  EXPECT_FALSE(t.ok());
+  EXPECT_NE(t.failure.find("rsan: orec_coverage worker=0"), std::string::npos) << t.failure;
+  // The verdict drained it, so the harness's teardown does not abort.
+  EXPECT_EQ(rs->summary().correctness(), 0u);
 }
 
 }  // namespace

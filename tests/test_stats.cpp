@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -383,35 +381,6 @@ TEST(ReportSections, GoldenBytes) {
   on += kOptInSectionsJson;
   on += '}';
   EXPECT_EQ(run_result_json(all_sections_on()), on);
-}
-
-// The REPRO_{P,R}SAN_OUT streams: one line per pool, the section's fields
-// behind "enabled":true. psan's two _by_phase maps follow the stream's
-// original keys.
-TEST(ReportSections, JsonlRecordIsTheSectionBody) {
-  const stats::RunResult r = all_sections_on();
-  const std::string path = testing::TempDir() + "report_sections.jsonl";
-  std::remove(path.c_str());
-  stats::append_jsonl(path.c_str(), r.psan);
-  stats::append_jsonl(path.c_str(), r.rsan);
-  stats::append_jsonl(nullptr, r.psan);  // stream not requested: no-op
-  std::ifstream in(path);
-  std::string psan, rsan, extra;
-  ASSERT_TRUE(std::getline(in, psan));
-  ASSERT_TRUE(std::getline(in, rsan));
-  EXPECT_FALSE(std::getline(in, extra));
-  EXPECT_EQ(psan,
-            R"({"enabled":true,"events":201,"checks":202,"missing_flush":203,)"
-            R"("misordered_persist":204,"redundant_flush":205,"redundant_fence":206,)"
-            R"("unflushed_at_crash":207,"torn_at_crash":208,"diags_dropped":209,)"
-            R"("redundant_flush_by_phase":{"commit":210},)"
-            R"("redundant_fence_by_phase":{"flush_drain":211,"abort_backoff":212}})");
-  EXPECT_EQ(rsan,
-            R"({"enabled":true,"events":301,"loads":302,"stores":303,"acquires":304,)"
-            R"("releases":305,"validated_reads":306,"inherits":307,)"
-            R"("write_write_race":308,"read_write_race":309,"orec_coverage":310,)"
-            R"("early_release":311,"diags_dropped":312})");
-  std::remove(path.c_str());
 }
 
 // Off means absent: a disabled section leaves no key behind (default-config
