@@ -9,7 +9,6 @@
 // Environment knobs (see docs/OBSERVABILITY.md):
 //   REPRO_OPS_SCALE   multiply operations per thread (default 1.0)
 //   REPRO_MAX_THREADS cap the thread sweep (default 32)
-//   REPRO_CSV=1       emit CSV after each table
 //   REPRO_JSON=<file> write every bench point as a JSON artifact (implies
 //                     phase-latency telemetry; `scripts/check_gates.py
 //                     compare` diffs two artifacts)
@@ -17,6 +16,7 @@
 //   REPRO_DEVSTATS=1  emulated DIMM counters ("device" section; trace "ph":"C")
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -26,17 +26,16 @@
 #include "stats/histogram.h"
 #include "stats/json_writer.h"
 #include "stats/report.h"
-#include "util/env.h"
 #include "util/table.h"
 #include "workloads/driver.h"
 
 namespace bench {
 
-/// Output dispatch shared by every bench binary: renders each finished
-/// table in all enabled tabular formats (text always, CSV on REPRO_CSV=1)
-/// and accumulates every benchmark point for the REPRO_JSON artifact,
-/// which is written once at process exit. Replaces the per-binary inline
-/// getenv checks so the knobs behave identically across all binaries.
+/// Output dispatch shared by every bench binary: prints each finished
+/// table, judges every benchmark point as it arrives and accumulates the
+/// points for the REPRO_JSON artifact, which is written once at process
+/// exit. Replaces the per-binary inline getenv checks so the knobs behave
+/// identically across all binaries.
 class Output {
  public:
   static Output& instance() {
@@ -44,18 +43,30 @@ class Output {
     return o;
   }
 
-  /// Print a finished table (text + optional CSV).
+  /// Print a finished table.
   void table(const std::string& title, const util::TextTable& t) {
     std::cout << "\n== " << title << " ==\n";
     t.print(std::cout);
-    if (csv_) t.print_csv(std::cout);
     std::cout << std::endl;
   }
 
-  /// Register one benchmark point for the JSON artifact. `bench` is the
-  /// panel/table title, `label` the curve (a point is identified by
-  /// (bench, label, threads) — `check_gates.py compare` matches on that key).
+  /// Judge one benchmark point and register it for the JSON artifact.
+  /// `bench` is the panel/table title, `label` the curve (a point is
+  /// identified by (bench, label, threads) — `check_gates.py compare`
+  /// matches on that key). A point that breaks stats::RunResult::verdict,
+  /// or records no phase sample while REPRO_JSON asks for them, is named on
+  /// stderr and the process aborts before writing any artifact.
   void add_result(std::string bench, std::string label, const stats::RunResult& r) {
+    std::string v = r.verdict();
+    const auto& ph = r.totals.phases.h;
+    if (v.empty() && !json_path_.empty() &&
+        std::none_of(ph.begin(), ph.end(), [](const auto& h) { return h.count() > 0; })) {
+      v = "phases_ns={}: no phase sample, though REPRO_JSON turns telemetry on";
+    }
+    if (!v.empty()) {
+      std::cerr << bench << " / " << label << " @ " << r.threads << "t: " << v << "\n";
+      std::abort();
+    }
     if (json_path_.empty()) return;
     points_.push_back(Point{std::move(bench), std::move(label), r});
   }
@@ -103,7 +114,6 @@ class Output {
     stats::RunResult result;
   };
 
-  bool csv_ = util::env_on("REPRO_CSV");
   std::string json_path_;
   std::vector<Point> points_;
 };

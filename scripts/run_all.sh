@@ -17,6 +17,8 @@ ctest --test-dir build --output-on-failure
 
 # Each binary also writes its machine-readable results to results/<name>.json
 # (docs/OBSERVABILITY.md); diff two runs with scripts/check_gates.py compare.
+# A binary aborts, ending the run, on a point with an unclean startup
+# recovery or a capacity abort (docs/OBSERVABILITY.md, "Point verdict").
 mkdir -p results
 
 for b in build/bench/*; do

@@ -150,14 +150,13 @@ class SanitizerCore {
   }
 
   /// Store `d`, whose kind the caller already counted; mu_ is held.
-  /// False when dropped past the cap.
-  bool keep(const Diag& d) {
+  /// Past the cap it is only counted in diags_dropped.
+  void keep(const Diag& d) {
     if (diags_.size() >= kMaxStoredDiags) {
       sum_.diags_dropped++;
-      return false;
+      return;
     }
     diags_.push_back(d);
-    return true;
   }
 
   const char* const name_;  // "psan" / "rsan"

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#ifdef __GLIBC__
-#include <execinfo.h>
-#endif
-
-#include "util/env.h"
 
 namespace analysis {
 
@@ -20,24 +14,6 @@ const char* rsan_kind_name(RsanKind k) {
   }
   return "?";
 }
-
-namespace {
-
-// REPRO_RSAN_TRACE=1: one stderr line per sync/access hook, for debugging
-// a diagnostic's event history (pair with REPRO_RSAN_ABORT=1 to stop at the
-// first diagnostic).
-bool trace_enabled() {
-  static const bool on = util::env_on("REPRO_RSAN_TRACE");
-  return on;
-}
-
-void trace(uint64_t event, const char* op, int worker, const void* key) {
-  if (!trace_enabled()) return;
-  std::fprintf(stderr, "rsan-trace: e=%llu %s w=%d key=%p\n",
-               static_cast<unsigned long long>(event), op, worker, key);
-}
-
-}  // namespace
 
 std::string RsanDiag::describe() const {
   char buf[320];
@@ -75,19 +51,7 @@ void Rsan::emit(RsanKind kind, int worker, int other, uint64_t addr,
   d.line = line;
   d.event = event_;
   d.what = what;
-  if (!keep(d)) return;
-  // Debug aid: REPRO_RSAN_ABORT=1 turns the first diagnostic into an abort
-  // so a debugger catches the racing access with its full stack.
-  static const bool abort_on_diag = util::env_on("REPRO_RSAN_ABORT");
-  if (abort_on_diag) {
-    std::fprintf(stderr, "rsan: aborting on %s\n", d.describe().c_str());
-#ifdef __GLIBC__
-    void* frames[48];
-    const int depth = backtrace(frames, 48);
-    backtrace_symbols_fd(frames, depth, 2);
-#endif
-    std::abort();
-  }
+  keep(d);
 }
 
 void Rsan::join_from_sync(WorkerState& ws, uintptr_t key) {
@@ -130,7 +94,6 @@ void Rsan::on_load(int worker, uint64_t addr, size_t n, uint64_t first_line,
                    bool log_space) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, log_space ? "load-log" : "load", worker, reinterpret_cast<const void*>(addr));
   const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   if (!ws.in_tx) return;  // out-of-transaction accesses are invisible
@@ -178,7 +141,6 @@ void Rsan::on_store(int worker, uint64_t addr, size_t n, uint64_t first_line,
                     uint64_t last_line, bool log_space) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, log_space ? "store-log" : "store", worker, reinterpret_cast<const void*>(addr));
   const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   if (!ws.in_tx) return;  // out-of-transaction accesses are invisible
@@ -289,7 +251,6 @@ void Rsan::on_checkpoint() {
 void Rsan::on_tx_begin(int worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "tx_begin", worker, nullptr);
   WorkerState& ws = w_.of(worker);
   ws.in_tx = true;
   ws.owned.clear();
@@ -300,7 +261,6 @@ void Rsan::on_tx_begin(int worker) {
 void Rsan::on_tx_end(int worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "tx_end", worker, nullptr);
   WorkerState& ws = w_.of(worker);
   ws.in_tx = false;
   ws.read_depth = 0;
@@ -313,7 +273,6 @@ void Rsan::on_tx_end(int worker) {
 void Rsan::on_orec_acquire(int worker, const void* orec) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "acquire", worker, orec);
   sum_.acquires++;
   const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
@@ -324,7 +283,6 @@ void Rsan::on_orec_acquire(int worker, const void* orec) {
 void Rsan::on_orec_release(int worker, const void* orec) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "release", worker, orec);
   sum_.releases++;
   const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
@@ -349,7 +307,6 @@ void Rsan::on_orec_release(int worker, const void* orec) {
 void Rsan::on_validated_read(int worker, const void* orec) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "vread", worker, orec);
   sum_.validated_reads++;
   const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
@@ -360,7 +317,6 @@ void Rsan::on_validated_read(int worker, const void* orec) {
 void Rsan::on_atomic_rmw(int worker, const void* addr) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "rmw", worker, addr);
   const size_t s = w_.slot(worker);
   WorkerState& ws = w_[s];
   const auto key = reinterpret_cast<uintptr_t>(addr);
@@ -372,7 +328,6 @@ void Rsan::on_atomic_rmw(int worker, const void* addr) {
 void Rsan::on_publish(int worker, const void* obj) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "publish", worker, obj);
   const size_t s = w_.slot(worker);
   release_to_sync(w_[s], s, reinterpret_cast<uintptr_t>(obj));
 }
@@ -380,14 +335,12 @@ void Rsan::on_publish(int worker, const void* obj) {
 void Rsan::on_join(int worker, const void* obj) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "join", worker, obj);
   join_from_sync(w_.of(worker), reinterpret_cast<uintptr_t>(obj));
 }
 
 void Rsan::on_inherit(int to_worker, int from_worker) {
   std::lock_guard<std::mutex> g(mu_);
   event_++;
-  trace(event_, "inherit", to_worker, reinterpret_cast<const void*>(static_cast<uintptr_t>(from_worker)));
   sum_.inherits++;
   const size_t to = w_.slot(to_worker);
   const size_t from = w_.slot(from_worker);

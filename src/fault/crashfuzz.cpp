@@ -9,6 +9,7 @@
 
 #include "fault/harness.h"
 #include "ptm/redo_log.h"
+#include "util/env.h"
 
 namespace fault {
 
@@ -106,6 +107,13 @@ std::string describe(const ScheduleSpec& s) {
 }  // namespace
 
 std::string repro_command(const ScheduleSpec& s) {
+  // nvm::Pool forces these layers on from the environment, and a
+  // sanitizer's verdict or epoch commit can decide a schedule, so the
+  // repro runs under the same ones.
+  std::string env;
+  for (const char* knob : {"REPRO_PSAN", "REPRO_RSAN", "REPRO_EPOCH", "REPRO_DEVSTATS"}) {
+    if (util::env_on(knob)) env += std::string(knob) + "=1 ";
+  }
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "crashfuzz --one --algo %s --domain %s --workload %s --wl-seed %" PRIu64
@@ -118,7 +126,7 @@ std::string repro_command(const ScheduleSpec& s) {
                 adversary_name(s.adversary), s.torn_stores ? 1 : 0,
                 s.media_fault ? 1 : 0, s.mirror ? 1 : 0, s.epoch ? 1 : 0,
                 s.kill ? 1 : 0, s.kill_events, s.kill2_events, s.stall_ns);
-  return std::string(buf);
+  return env + buf;
 }
 
 bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_out,
@@ -212,28 +220,18 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
   if (events_out) *events_out = t.events;
 
   if (spec.media_fault) {
-    uint64_t line;
-    if (spec.mirror) {
-      // Mirrored pools must *survive* a single-copy fault: poison worker
-      // 0's primary slot-header line (even crash seeds) or the first line
-      // of its primary write log (odd seeds). The mirror holds the only
-      // remaining copy, so the verdict proves the fallback path actually
-      // carries the recovery.
-      ptm::SlotLayout slot = ptm::SlotLayout::carve(
-          h.pool.worker_meta(0), h.pool.worker_meta_bytes(), /*mirror=*/true);
-      const char* target = spec.crash_seed % 2 == 0
-                               ? reinterpret_cast<const char*>(slot.header)
-                               : reinterpret_cast<const char*>(slot.log);
-      line = h.pool.mem().line_of(target);
-    } else {
-      // Unmirrored: poison one line inside worker 0's log region. Records
-      // on that line are legitimately lost, which the verdict allows
-      // (Expect::media); recovery must still survive, attribute the
-      // damage, and leave a usable runtime.
-      line = h.pool.header()->meta_off / nvm::Memory::kLineBytes + 1 +
-             spec.crash_seed % 16;
-    }
-    h.pool.mem().inject_media_fault(line);
+    // Poison worker 0's primary slot-header line (even crash seeds) or the
+    // first line of its primary write log (odd seeds). A mirrored pool
+    // must *survive* it: the mirror holds the only remaining copy, so the
+    // verdict proves the fallback path carries the recovery. An unmirrored
+    // pool legitimately loses what the line held (a lost header always
+    // counts one lost record), which the verdict allows (Expect::media);
+    // recovery must still survive and attribute the damage.
+    ptm::SlotLayout slot = ptm::SlotLayout::carve(h.pool.worker_meta(0),
+                                                  h.pool.worker_meta_bytes(), spec.mirror);
+    const void* target = spec.crash_seed % 2 == 0 ? static_cast<const void*>(slot.header)
+                                                  : static_cast<const void*>(slot.log);
+    h.pool.mem().inject_media_fault(h.pool.mem().line_of(target));
   }
 
   h.power_fail();
@@ -243,6 +241,10 @@ bool run_schedule(const ScheduleSpec& spec, std::string* why, uint64_t* events_o
   if (spec.media_fault && h.report.media_faults == 0) {
     return fail("media fault injected but not reported by recovery");
   }
+  // The verdict lets a loss through only on an unmirrored media trial. A
+  // transaction lost with its log leaves the heap wherever its write-back
+  // or rollback stopped, so the workload invariants need not hold.
+  if (h.report.records_lost != 0) return true;
 
   // Workload invariants (read-only / allocator-metadata checks; run after
   // the verdict so they cannot perturb the oracle comparison).
@@ -355,8 +357,11 @@ int run_crashfuzz(const FuzzOptions& opt) {
   // poisoned log line and attribute it, under every algo × domain). With
   // --mirror, a fourth trial per configuration rots the primary slot
   // header of a cleanly finished run — the mirror is then provably the
-  // only copy, so the repair counter must move across the phase.
+  // only copy, so the repair counter must move across the phase. Without
+  // it, the even-seed trials rot the only header copy, so the phase must
+  // report a lost record.
   uint64_t mirror_repairs = 0;
+  uint64_t records_lost = 0;
   for (ptm::Algo algo : algos) {
     for (nvm::Domain domain : domains) {
       for (int i = 0; i < (opt.mirror ? 4 : 3); i++) {
@@ -385,8 +390,9 @@ int run_crashfuzz(const FuzzOptions& opt) {
                                     : 500 + static_cast<uint64_t>(i);
         }
         stats::RecoveryReport rep;
-        if (check(s, nullptr, &rep) && opt.mirror) {
+        if (check(s, nullptr, &rep)) {
           mirror_repairs += rep.records_repaired;
+          records_lost += rep.records_lost;
         }
       }
     }
@@ -396,6 +402,12 @@ int run_crashfuzz(const FuzzOptions& opt) {
     std::fprintf(stderr,
                  "FAIL: mirrored media trials never exercised a repair "
                  "(records_repaired == 0 across phase 1b)\n");
+  }
+  if (!opt.mirror && failures == 0 && records_lost == 0) {
+    failures++;
+    std::fprintf(stderr,
+                 "FAIL: unmirrored media trials never lost a record "
+                 "(records_lost == 0 across phase 1b)\n");
   }
 
   // Phase 2: randomized exploration, fully replayable from --seed. With

@@ -29,10 +29,10 @@ struct ScheduleSpec {
   uint64_t crash_seed = 1;   // rng for crash-image resolution
   bool torn_stores = true;
   nvm::WritebackAdversary adversary = nvm::WritebackAdversary::kRandom;
-  bool media_fault = false;  // poison a log line before recovery
+  bool media_fault = false;  // poison worker 0's slot header (even crash_seed)
+                             // or first write-log line (odd) before recovery
   bool mirror = false;       // run with SystemConfig::log_mirror on; media
-                             // trials then target a mirrored line (header or
-                             // first log line) and are gated on zero loss
+                             // trials are then gated on zero loss
   bool epoch = false;        // group-commit mode: the workload runs on three
                              // concurrent DES workers publishing into size-3
                              // epochs, so a crash can land mid-epoch with
@@ -51,7 +51,8 @@ struct ScheduleSpec {
                              // probe (zombie if a reclaimer fenced it)
 };
 
-/// The exact `crashfuzz --one ...` invocation that replays `spec`.
+/// The exact `crashfuzz --one ...` invocation that replays `spec`, behind
+/// the opt-in REPRO_* layer knobs set in this process ("REPRO_PSAN=1 ...").
 std::string repro_command(const ScheduleSpec& spec);
 
 /// Run one schedule through the harness's trial step and verdict
@@ -75,6 +76,7 @@ struct FuzzOptions {
   bool mirror = false;      // run the whole suite with log mirroring on;
                             // gates every schedule on records_lost == 0 and
                             // the media trials on nonzero records_repaired
+                            // (off: the media trials on nonzero records_lost)
   bool epoch = false;       // run the whole suite in group-commit mode (see
                             // ScheduleSpec::epoch)
   bool kill = false;        // run the whole suite in thread-crash containment

@@ -7,6 +7,7 @@
 //       schedules across the selected matrix. Exit code = failure count.
 //       With --mirror 1 every schedule runs with log mirroring on, gated
 //       on zero lost records; media trials must demonstrate repairs.
+//       Without it, media trials must demonstrate a lost record.
 //       With --epoch 1 every schedule runs in group-commit mode: three
 //       concurrent DES workers publish into size-3 epochs, so crashes
 //       land mid-epoch with members between publish and ack.
@@ -21,7 +22,8 @@
 //             --events K --crash-seed S [--adversary NAME] [--torn 0|1]
 //             [--media 0|1] [--mirror 0|1] [--epoch 0|1] [--kill 0|1]
 //             [--kill-events K] [--kill2-events K] [--stall-ns N]
-//       Replay a single schedule (the repro line printed on failure).
+//       Replay a single schedule (the repro line printed on failure, which
+//       sets the REPRO_* layer knobs the failing run had).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

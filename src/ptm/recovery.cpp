@@ -30,8 +30,8 @@
 // replica, rewrites the primary in place (restore_from_replica, durably;
 // then clears the media fault — crash-idempotent), and counts it in
 // records_repaired. Damage with no usable copy left is
-// records_lost: the affected heap lines are quarantined in the allocator
-// and recover() surfaces the loss through Runtime::degraded(). Everything
+// records_lost (slots_lost counts its slots): the affected heap lines are
+// quarantined in the allocator and the runtime keeps going. Everything
 // recovery applied, repaired, or refused is tallied in the returned
 // stats::RecoveryReport.
 #include <algorithm>
@@ -72,12 +72,6 @@ stats::RecoveryReport Runtime::recover(sim::ExecContext& ctx) {
   rep.media_faults = pool_.config().crash_sim ? pool_.mem().media_fault_count() : 0;
   // Recovery is not part of measured runs: no counters.
   for (int w = 0; w < pool_.config().max_workers; w++) resolve_slot(w, ctx, nullptr, rep);
-
-  degraded_ = {.degraded = rep.slots_lost > 0,
-               .lost_records = rep.records_lost,
-               .lost_txs = rep.slots_lost,
-               .quarantined_bytes = alloc_.quarantined_bytes(),
-               .quarantined_blocks = alloc_.quarantined_blocks()};
   return rep;
 }
 

@@ -114,14 +114,11 @@ class Runtime {
   /// record checksums, media-fault status) is validated before use, and
   /// the returned report says what was replayed and what was refused —
   /// callers that expect a clean start should assert
-  /// report.records_discarded() == 0.
+  /// report.records_discarded() == 0. Damage beyond repair is counted, not
+  /// fatal: report.slots_lost > 0 means committed state was lost (its heap
+  /// lines are quarantined, allocator().quarantined_bytes()), and a caller
+  /// that must fail stop checks it.
   stats::RecoveryReport recover(sim::ExecContext& ctx);
-
-  /// Degraded-mode outcome of the most recent recover() call: all-zero after
-  /// every healthy recovery, populated when both copies of committed state
-  /// were damaged and the pool kept going with losses quarantined. A caller
-  /// that must fail stop checks degraded().degraded after recover().
-  const stats::DegradedReport& degraded() const { return degraded_; }
 
   /// Install (or clear, with nullptr) the shadow-instrumentation hook.
   /// Must only change while no transactions are running.
@@ -183,7 +180,6 @@ class Runtime {
   std::unique_ptr<EpochManager> epochs_;  // non-null only in epoch mode
   std::unique_ptr<ContainmentManager> containment_;  // non-null only with tx_timeout_ns
   TxObserver* observer_ = nullptr;
-  stats::DegradedReport degraded_;  // reset at the top of every recover()
 };
 
 }  // namespace ptm

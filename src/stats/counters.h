@@ -83,8 +83,10 @@ TxCounters aggregate(const std::vector<TxCounters>& per_thread);
 /// caught, truncated segment links) from damage (media faults, out-of-
 /// bounds offsets, whole-log checksum mismatches on committed logs). On a
 /// clean start — or after recovering a crash that tore nothing — all
-/// discard buckets are zero; CI gates on that for non-crash runs
-/// (scripts/check_gates.py).
+/// discard buckets are zero; every bench point is held to that
+/// (RunResult::verdict). Damage beyond repair shows here as records_lost
+/// and slots_lost; the heap lines it quarantined show in the allocator
+/// (quarantined_bytes(), quarantined_blocks()).
 struct RecoveryReport {
   uint64_t slots_scanned = 0;         // worker slots examined
   uint64_t slots_committed = 0;       // redo logs replayed forward
@@ -121,17 +123,6 @@ struct RecoveryReport {
   }
 };
 
-/// Surfaced by Runtime::recover() when damage was beyond repair: what was
-/// lost and what got quarantined so the runtime could keep going. All-zero
-/// (degraded == false) on every healthy recovery.
-struct DegradedReport {
-  bool degraded = false;          // any unrepairable damage seen
-  uint64_t lost_records = 0;      // log records with no usable copy
-  uint64_t lost_txs = 0;          // slots that lost at least one record/header
-  uint64_t quarantined_bytes = 0;   // heap bytes excluded from reuse
-  uint64_t quarantined_blocks = 0;  // allocator blocks diverted from free lists
-};
-
 /// Background scrubber counters (ptm::Scrubber), one pool lifetime.
 /// Serialized under the "scrub" key of REPRO_JSON artifacts only when the
 /// scrubber ran (enabled), keeping default-config output unchanged.
@@ -152,8 +143,9 @@ struct ScrubStats {
 /// run of the shipped algorithms; the redundant_* counters are perf
 /// lints (extra Table III fence/flush cost), broken down by the phase
 /// taxonomy so a lint points at the code path that issued it. Serialized
-/// under the "psan" key of REPRO_JSON artifacts (only when enabled) and
-/// gated in CI by scripts/check_gates.py.
+/// under the "psan" key of REPRO_JSON artifacts (only when enabled); a
+/// correctness diagnostic fails the crash trial or the pool that produced
+/// it (analysis::SanitizerCore::verdict).
 struct PsanSummary {
   bool enabled = false;
   uint64_t events = 0;              // hooked store/clwb/sfence instructions
@@ -168,7 +160,7 @@ struct PsanSummary {
   uint64_t redundant_flush_by_phase[kNumPhases] = {};
   uint64_t redundant_fence_by_phase[kNumPhases] = {};
 
-  /// The CI-gated total: any nonzero value is an ordering bug.
+  /// The verdict's total: any nonzero value is an ordering bug.
   uint64_t correctness() const { return missing_flush + misordered_persist; }
 };
 
@@ -176,8 +168,9 @@ struct PsanSummary {
 /// (analysis::Rsan) for one pool lifetime. The four race/protocol kinds
 /// are correctness counters — any nonzero value means a synchronization
 /// bug in a PTM protocol, not a style issue. Serialized under the "rsan"
-/// key of REPRO_JSON artifacts (only when enabled) and gated in CI by
-/// scripts/check_gates.py.
+/// key of REPRO_JSON artifacts (only when enabled); a correctness
+/// diagnostic fails the crash trial or the pool that produced it
+/// (analysis::SanitizerCore::verdict).
 struct RsanSummary {
   bool enabled = false;
   uint64_t events = 0;           // hooked load/store/sync instructions
@@ -193,7 +186,7 @@ struct RsanSummary {
   uint64_t early_release = 0;     // correctness: orec freed over in-flight stores
   uint64_t diags_dropped = 0;     // diagnostics beyond the storage cap
 
-  /// The CI-gated total: any nonzero value is a synchronization bug.
+  /// The verdict's total: any nonzero value is a synchronization bug.
   uint64_t correctness() const {
     return write_write_race + read_write_race + orec_coverage + early_release;
   }

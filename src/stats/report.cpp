@@ -122,6 +122,36 @@ void write_section(JsonWriter& w, std::string_view name, const Summary& s) {
 
 }  // namespace
 
+std::string RunResult::verdict() const {
+  const RecoveryReport& rec = recovery;
+  const struct {
+    const char* key;
+    uint64_t value;
+    const char* why;
+  } checks[] = {
+      {"recovery.records_torn", rec.records_torn, "per-record CRC failures on a fresh pool"},
+      {"recovery.records_invalid", rec.records_invalid,
+       "log records with out-of-bounds offsets"},
+      {"recovery.records_media_faulted", rec.records_media_faulted,
+       "records lost to media faults"},
+      {"recovery.log_crc_mismatches", rec.log_crc_mismatches,
+       "committed whole-log checksum mismatches"},
+      {"recovery.media_faults", rec.media_faults, "poisoned lines present at startup"},
+      {"recovery.segment_links_truncated", rec.segment_links_truncated,
+       "overflow-chain links dropped"},
+      {"recovery.log_range_drops", log_range_drops,
+       "log-range registrations dropped (PDRAM-Lite misroute)"},
+      {"recovery.records_lost", rec.mirror_enabled ? rec.records_lost : 0,
+       "log records with no usable copy despite mirroring"},
+      {"abort_causes.capacity", totals.aborts_of(AbortCause::kCapacity),
+       "transactions outgrew their per-worker log or write index"},
+  };
+  for (const auto& c : checks) {
+    if (c.value != 0) return std::string(c.key) + "=" + std::to_string(c.value) + ": " + c.why;
+  }
+  return "";
+}
+
 void write_run_result_fields(JsonWriter& w, const RunResult& r) {
   w.kv("workload", r.workload);
   w.kv("config", r.config);

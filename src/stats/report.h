@@ -39,8 +39,7 @@ struct RunResult {
 
   // Startup recovery outcome for this point's pool (a fresh pool recovers
   // trivially: all-zero except slots_scanned) plus log-range registrations
-  // the memory model had to drop. CI gates on these being clean — see
-  // scripts/check_gates.py.
+  // the memory model had to drop. verdict() holds both to clean.
   RecoveryReport recovery;
   uint64_t log_range_drops = 0;
 
@@ -62,6 +61,14 @@ struct RunResult {
 
   /// Throughput scaled to Mtx/s for compact table cells.
   double throughput_mtx_per_sec() const { return throughput_tx_per_sec() / 1e6; }
+
+  /// The point's own invariants: empty, or the first violated one as
+  /// "<section>.<key>=<value>: <why>". Startup recovery refused nothing (a
+  /// mirrored pool also lost nothing), and no transaction outgrew its log:
+  /// a capacity abort means the measured fence and abort counts include
+  /// log growth the paper's configuration never runs. bench::Output judges
+  /// every point with it as the point arrives.
+  std::string verdict() const;
 };
 
 /// Append this result's fields (workload/config/threads, throughput, flat

@@ -39,18 +39,6 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); i++) {
-      os << row[i];
-      if (i + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);

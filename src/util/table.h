@@ -1,4 +1,4 @@
-// Plain-text table and CSV emission for the benchmark harness. Every figure
+// Plain-text table emission for the benchmark harness. Every figure
 // and table in EXPERIMENTS.md is printed through this, so the output format
 // is uniform across bench binaries.
 #pragma once
@@ -20,9 +20,6 @@ class TextTable {
 
   /// Render with column alignment to `os`.
   void print(std::ostream& os) const;
-
-  /// Render as CSV (no alignment padding).
-  void print_csv(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }
 

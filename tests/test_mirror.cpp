@@ -82,7 +82,8 @@ TEST(MirrorRecovery, PoisonedHeaderLineIsRepairedFromMirrorAndReplayed) {
   EXPECT_EQ(rep.log_crc_mismatches, 0u);
   EXPECT_FALSE(pool.mem().media_faulted(slot.header, sizeof(ptm::TxSlotHeader)))
       << "repair must retire the media fault after rewriting the line";
-  EXPECT_FALSE(rt.degraded().degraded);
+  EXPECT_EQ(rep.slots_lost, 0u);
+  EXPECT_EQ(rt.allocator().quarantined_bytes(), 0u);
 
   rt.run(ctx, [&](ptm::Tx& tx) { tx.write(&root->cells[1], uint64_t{7}); });
   EXPECT_EQ(root->cells[1], 7u);
@@ -162,11 +163,9 @@ TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
   const auto rep = rt.recover(ctx);
   EXPECT_EQ(rep.records_replayed, 0u);
   EXPECT_EQ(rep.records_lost, 1u);
-  const auto& deg = rt.degraded();
-  EXPECT_TRUE(deg.degraded);
-  EXPECT_EQ(deg.lost_records, 1u);
-  EXPECT_EQ(deg.lost_txs, 1u);
-  EXPECT_GE(deg.quarantined_bytes, 64u) << "lost record's home line not quarantined";
+  EXPECT_EQ(rep.slots_lost, 1u);
+  EXPECT_GE(rt.allocator().quarantined_bytes(), 64u)
+      << "lost record's home line not quarantined";
   EXPECT_TRUE(rt.allocator().is_quarantined(pool.at(heap_off), 8));
 
   // Degraded, not dead: the runtime stays usable.
@@ -175,8 +174,8 @@ TEST(MirrorRecovery, BothCopiesPoisonedSalvageQuarantinesAndReports) {
   EXPECT_EQ(root->cells[1], 7u);
 }
 
-// A slot header with no usable copy is a lost record, and degraded()
-// counts it as the report does: mirrored with both copies poisoned, and
+// A slot header with no usable copy is a lost record, and its slot counts
+// as degraded (slots_lost): mirrored with both copies poisoned, and
 // unmirrored with its one copy poisoned.
 TEST(MirrorRecovery, LostHeaderIsCountedInDegraded) {
   for (const bool mirror : {true, false}) {
@@ -191,9 +190,7 @@ TEST(MirrorRecovery, LostHeaderIsCountedInDegraded) {
     }
     const auto rep = rt.recover(ctx);
     EXPECT_EQ(rep.records_lost, 1u) << "mirror=" << mirror;
-    EXPECT_EQ(rt.degraded().lost_records, rep.records_lost) << "mirror=" << mirror;
-    EXPECT_EQ(rt.degraded().lost_txs, 1u) << "mirror=" << mirror;
-    EXPECT_TRUE(rt.degraded().degraded) << "mirror=" << mirror;
+    EXPECT_EQ(rep.slots_lost, 1u) << "mirror=" << mirror;
   }
 }
 

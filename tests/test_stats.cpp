@@ -332,8 +332,8 @@ stats::RunResult all_sections_on() {
   return r;
 }
 
-// The artifact schema, byte for byte: consumers (check_gates.py's gates
-// and compare, the docs) depend on these keys and their order. A point
+// The artifact schema, byte for byte: consumers (check_gates.py compare,
+// the docs) depend on these keys and their order. A point
 // with every opt-in section off has the default-config shape; turned on,
 // the sections follow "recovery" in this order.
 constexpr std::string_view kAllOffJson =
@@ -404,6 +404,74 @@ TEST(ReportSections, KeyPresentExactlyWhenEnabled) {
           << s.first << " with " << off.first << " off: " << js;
     }
   }
+}
+
+// ------------------------------------------------------------ point verdict
+
+// Written out independently of the verdict's own table: every counter here
+// fails a point on its own, and the verdict names it with its value.
+TEST(PointVerdict, EachGatedCounterFailsAndIsNamed) {
+  using Field = uint64_t* (*)(stats::RunResult&);
+  const std::pair<const char*, Field> gated[] = {
+      {"recovery.records_torn", [](stats::RunResult& r) { return &r.recovery.records_torn; }},
+      {"recovery.records_invalid",
+       [](stats::RunResult& r) { return &r.recovery.records_invalid; }},
+      {"recovery.records_media_faulted",
+       [](stats::RunResult& r) { return &r.recovery.records_media_faulted; }},
+      {"recovery.log_crc_mismatches",
+       [](stats::RunResult& r) { return &r.recovery.log_crc_mismatches; }},
+      {"recovery.media_faults", [](stats::RunResult& r) { return &r.recovery.media_faults; }},
+      {"recovery.segment_links_truncated",
+       [](stats::RunResult& r) { return &r.recovery.segment_links_truncated; }},
+      {"recovery.log_range_drops", [](stats::RunResult& r) { return &r.log_range_drops; }},
+      {"abort_causes.capacity",
+       [](stats::RunResult& r) {
+         return &r.totals.aborts_by_cause[static_cast<size_t>(stats::AbortCause::kCapacity)];
+       }},
+  };
+  stats::RunResult clean;
+  clean.recovery.slots_scanned = 5;
+  clean.totals.commits = 100;
+  EXPECT_EQ(clean.verdict(), "");
+  for (const auto& [key, field] : gated) {
+    stats::RunResult r = clean;
+    *field(r) = 3;
+    const std::string v = r.verdict();
+    EXPECT_EQ(v.rfind(std::string(key) + "=3: ", 0), 0u) << key << ": " << v;
+  }
+}
+
+TEST(PointVerdict, InformationalCountersNeverFail) {
+  stats::RunResult r;
+  stats::RecoveryReport& rec = r.recovery;
+  rec.slots_scanned = 5;
+  rec.slots_committed = 6;
+  rec.slots_rolled_back = 7;
+  rec.records_replayed = 8;
+  rec.records_stale = 9;
+  rec.allocs_cancelled = 10;
+  rec.frees_applied = 11;
+  rec.records_damaged = 12;
+  rec.records_repaired = 13;
+  rec.mirror_enabled = true;
+  for (size_t i = 0; i < stats::kNumAbortCauses; i++) {
+    if (i == static_cast<size_t>(stats::AbortCause::kCapacity)) continue;
+    r.totals.aborts_by_cause[i] = 20 + i;
+    r.totals.aborts += 20 + i;
+  }
+  EXPECT_EQ(r.verdict(), "");
+}
+
+// A pool without a mirror has no second copy to lose; a mirrored one
+// promises zero loss.
+TEST(PointVerdict, RecordsLostFailsOnlyWhenMirrored) {
+  stats::RunResult r;
+  r.recovery.records_lost = 2;
+  r.recovery.slots_lost = 1;
+  EXPECT_EQ(r.verdict(), "");
+  r.recovery.mirror_enabled = true;
+  const std::string v = r.verdict();
+  EXPECT_EQ(v.rfind("recovery.records_lost=2: ", 0), 0u) << v;
 }
 
 // --------------------------------------------------- PTM-integrated telemetry

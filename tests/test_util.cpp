@@ -103,14 +103,6 @@ TEST(Table, RowWidthMismatchThrows) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvFormat) {
-  util::TextTable t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Fmt, Numbers) {
   EXPECT_EQ(util::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(util::fmt_count(1234567), "1,234,567");
